@@ -410,6 +410,9 @@ def _cmd_assemble(cfg, args, out: Path) -> dict:
     t_start = float(cfg.get("t_start", 0.0))
     phi_start = cfg.get("phi_start")
     force = bool(cfg.get("force", False))
+    n_chords = int(cfg.get("n_chords", 128))
+    if n_chords < 1:
+        raise ValueError(f"n_chords must be at least 1, got {n_chords}")
     cont = phi_continue(curve, t_start, phi_start, offset=args.seed_offset)
     if cont.status != "MONOTONE" and not force:
         return {
@@ -421,7 +424,7 @@ def _cmd_assemble(cfg, args, out: Path) -> dict:
             "hint": "set force to true to assemble past the obstruction",
         }
     rep = spanning_assemble(curve, t_start, phi_start, force=force,
-                            n_chords=int(cfg.get("n_chords", 128)),
+                            n_chords=n_chords,
                             offset=args.seed_offset)
     rows = [(c[0, 0], c[0, 1], c[0, 2], c[1, 0], c[1, 1], c[1, 2])
             for c in rep.chords]
@@ -450,6 +453,9 @@ def _cmd_assemble(cfg, args, out: Path) -> dict:
 
 def _cmd_flow_trace(cfg, args, out: Path) -> dict:
     _require(cfg, {"field", "start", "t_max"}, {"mollify", "n_steps"})
+    t_max = float(cfg["t_max"])
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ValueError(f"t_max must be finite and positive, got {t_max}")
     fcfg = cfg["field"]
     if not isinstance(fcfg, dict):
         raise ValueError("field config must be an object")
@@ -470,7 +476,7 @@ def _cmd_flow_trace(cfg, args, out: Path) -> dict:
     start = cfg["start"]
     if not (isinstance(start, (list, tuple)) and len(start) == 2):
         raise ValueError("start must be [x, y]")
-    curve = picard(field, start, float(cfg["t_max"]),
+    curve = picard(field, start, t_max,
                    n_steps=int(cfg.get("n_steps", 2048)))
     curve.to_csv(out / "trace.csv")
     pts = np.column_stack([curve.x, curve.y])

@@ -333,21 +333,6 @@ def deriv(e: Expr, var: str, order: int, bindings: dict):
     return out.d1 if order == 1 else out.d2
 
 
-def variables_of(e: Expr) -> set:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Neg):
-        return variables_of(e.arg)
-    if isinstance(e, Bin):
-        return variables_of(e.lhs) | variables_of(e.rhs)
-    if isinstance(e, Call):
-        out = set()
-        for a in e.args:
-            out |= variables_of(a)
-        return out
-    return set()
-
-
 # ---------------------------------------------------------------------------
 # Serialization (re-parsing the output evaluates identically)
 

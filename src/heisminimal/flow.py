@@ -260,8 +260,8 @@ class IntegralCurve:
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("t,x,y,residual\n")
-            for ti, xi, yi, ri in zip(self.t, self.x, self.y, self.updates):
-                fh.write(f"{ti!r},{xi!r},{yi!r},{ri!r}\n")
+            for row in zip(self.t, self.x, self.y, self.updates):
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def picard(field: PlanarField, p0, t_max: float, *, n_steps: int = 2048,
@@ -279,8 +279,8 @@ def picard(field: PlanarField, p0, t_max: float, *, n_steps: int = 2048,
     px, py = float(p0[0]), float(p0[1])
     if not (x0 <= px <= x1 and y0 <= py <= y1):
         raise ValueError("start point lies outside the field rectangle")
-    if t_max <= 0:
-        raise ValueError("trace time must be positive")
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ValueError("trace time must be finite and positive")
     if n_steps < 2:
         raise ValueError("need at least two quadrature steps")
 

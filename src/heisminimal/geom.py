@@ -1,5 +1,5 @@
-"""Small planar geometry helpers: segment intersection, simplicity sweeps,
-point clustering, and least-squares plane fitting."""
+"""Small planar geometry helpers: segment intersections, point
+clustering, and least-squares plane fitting."""
 from __future__ import annotations
 
 import numpy as np
@@ -41,35 +41,6 @@ def seg_intersect(p0, p1, q0, q1, eps: float = 1e-12):
     if -eps <= t <= 1.0 + eps and -eps <= u <= 1.0 + eps:
         return tuple(p0 + t * r)
     return None
-
-
-def polyline_self_intersections(points: np.ndarray, closed: bool = False,
-                                eps: float = 1e-12):
-    """All self-intersections of a polyline, skipping shared endpoints.
-
-    Returns a list of (i, j, (x, y)) with i < j segment indices.
-    """
-    pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    segs = [(pts[i], pts[i + 1]) for i in range(n - 1)]
-    if closed:
-        segs.append((pts[-1], pts[0]))
-    m = len(segs)
-    hits = []
-    for i in range(m):
-        for j in range(i + 2, m):
-            if closed and i == 0 and j == m - 1:
-                continue
-            pt = seg_intersect(segs[i][0], segs[i][1], segs[j][0], segs[j][1],
-                               eps)
-            if pt is not None:
-                hits.append((i, j, pt))
-    return hits
-
-
-def is_simple_closed(points: np.ndarray, eps: float = 1e-12) -> bool:
-    """True when the closed polyline through ``points`` never self-crosses."""
-    return not polyline_self_intersections(points, closed=True, eps=eps)
 
 
 def segment_crossings(p0: np.ndarray, p1: np.ndarray, eps: float = 1e-12):

@@ -56,7 +56,6 @@ class GraphPatch:
 
     rect: tuple[float, float, float, float]
     mask_fn: Optional[Callable]
-    exact_hessian: bool
 
     def __init__(self, rect, mask_fn=None):
         x0, x1, y0, y1 = (float(v) for v in rect)
@@ -104,7 +103,6 @@ class ExprPatch(GraphPatch):
             mask_fn = lambda x, y: np.asarray(
                 evaluate(mask, {"x": x, "y": y})) >= 0.0
         super().__init__(rect, mask_fn)
-        self.exact_hessian = True
 
     def jet(self, x, y):
         # The expression must be evaluable on the whole bounding
@@ -127,9 +125,9 @@ class ExprPatch(GraphPatch):
 class SampledPatch(GraphPatch):
     """Patch built from height samples on a rectilinear grid.
 
-    Evaluation goes through a bicubic spline; curvature for these
-    patches is computed by finite differences of the Gauss map rather
-    than from spline second derivatives.
+    Evaluation goes through a bicubic spline, whose own first and second
+    derivatives make up the jet, so curvature and the Newton steps of the
+    characteristic scan read the same Hessian as for any other patch.
     """
 
     def __init__(self, xs, ys, values, mask_fn=None):
@@ -147,7 +145,6 @@ class SampledPatch(GraphPatch):
         super().__init__((xs[0], xs[-1], ys[0], ys[-1]), mask_fn)
         self.xs, self.ys, self.values = xs, ys, values
         self._spline = RectBivariateSpline(xs, ys, values, kx=3, ky=3)
-        self.exact_hessian = False
 
     def jet(self, x, y):
         x, y = _arrays(x, y)
@@ -267,7 +264,7 @@ def char_distance_estimate(patch: GraphPatch, x, y):
         return np.hypot(sx, sy)
 
 
-def _curvature_exact(patch, x, y):
+def _curvature(patch, x, y):
     _, ux, uy, uxx, uxy, uyy = patch.jet(x, y)
     p = ux + 0.5 * np.asarray(y, dtype=float)
     q = uy - 0.5 * np.asarray(x, dtype=float)
@@ -277,38 +274,18 @@ def _curvature_exact(patch, x, y):
         return num / np.power(mag2, 1.5)
 
 
-def _unit_gauss(patch, x, y, char_tol):
-    p, q, mag = gauss_grid(patch, x, y)
-    if np.any(mag <= char_tol):
-        raise CharacteristicError(
-            "Gauss map degenerates inside a finite-difference stencil")
-    return p / mag, q / mag
-
-
-def _curvature_fd(patch, x, y, h, char_tol):
-    x, y = _arrays(x, y)
-    pb = [_unit_gauss(patch, x + k * h, y, char_tol)[0]
-          for k in (-2, -1, 1, 2)]
-    qb = [_unit_gauss(patch, x, y + k * h, char_tol)[1]
-          for k in (-2, -1, 1, 2)]
-    dp = (pb[0] - 8.0 * pb[1] + 8.0 * pb[2] - pb[3]) / (12.0 * h)
-    dq = (qb[0] - 8.0 * qb[1] + 8.0 * qb[2] - qb[3]) / (12.0 * h)
-    return dp + dq
-
-
 def h_curvature(patch: GraphPatch, x: float, y: float, *,
                 char_tol: float = CHAR_TOL,
                 char_margin: float = CHAR_MARGIN,
-                char_points: Optional[np.ndarray] = None,
-                h_fd: Optional[float] = None,
-                method: str = "auto") -> float:
+                char_points: Optional[np.ndarray] = None) -> float:
     """Horizontal mean curvature of the graph at one point.
 
-    Refuses to evaluate at characteristic points and within
-    ``char_margin`` of them (known points from ``char_points`` plus a
-    Newton-step proximity estimate).  Expression patches use exact
-    derivatives; sampled patches use 4th-order central differences of
-    the unit Gauss map with step ``h_fd``.
+    H = div(nu) for the unit horizontal Gauss map nu = (p, q)/|(p, q)|,
+    taken in closed form from the patch's second-order jet: exact for
+    expression and ruled patches, the spline's own derivatives for
+    sampled ones.  Refuses to evaluate at characteristic points and
+    within ``char_margin`` of them (known points from ``char_points``
+    plus a Newton-step proximity estimate).
     """
     if not bool(patch.contains(x, y)):
         raise DomainError(f"point ({x}, {y}) outside the patch domain")
@@ -328,38 +305,22 @@ def h_curvature(patch: GraphPatch, x: float, y: float, *,
             raise CharacteristicError(
                 f"point ({x}, {y}) within estimated distance {est:.3e} "
                 "of the characteristic set")
-    if method == "auto":
-        method = "exact" if patch.exact_hessian else "fd"
-    if method == "exact":
-        return float(_curvature_exact(patch, x, y))
-    if method != "fd":
-        raise ValueError("method must be 'auto', 'exact' or 'fd'")
-    h = patch.fd_step() if h_fd is None else float(h_fd)
-    x0, x1, y0, y1 = patch.rect
-    room = min(x - x0, x1 - x, y - y0, y1 - y)
-    if room < 2.0 * h:
-        h = 0.5 * room
-    if h <= 1e-12 * patch.size():
-        raise DomainError(
-            f"point ({x}, {y}) too close to the boundary for differences")
-    return float(_curvature_fd(patch, x, y, h, char_tol))
+    return float(_curvature(patch, x, y))
 
 
 def curvature_field(patch: GraphPatch, x, y, *,
                     char_tol: float = CHAR_TOL,
                     char_margin: float = CHAR_MARGIN,
-                    char_points: Optional[np.ndarray] = None,
-                    method: str = "auto"):
-    """Vectorized curvature with NaN at excluded points.
+                    char_points: Optional[np.ndarray] = None):
+    """Vectorized ``h_curvature`` with NaN at excluded points.
 
     Exclusions: outside the domain, |(p,q)| <= char_tol, within
     char_margin of a known characteristic point, or Newton-estimated
-    distance <= char_margin.  Finite-difference patches additionally
-    exclude points without stencil room.
+    distance <= char_margin.
     """
     x, y = _arrays(x, y)
     keep = patch.contains(x, y)
-    p, q, mag = gauss_grid(patch, x, y)
+    _, _, mag = gauss_grid(patch, x, y)
     keep = keep & (mag > char_tol)
     if char_margin > 0.0:
         if char_points is not None and len(char_points):
@@ -369,34 +330,7 @@ def curvature_field(patch: GraphPatch, x, y, *,
             keep = keep & (np.sqrt(d2) > char_margin)
         est = char_distance_estimate(patch, x, y)
         keep = keep & ~(np.isfinite(est) & (est <= char_margin))
-    if method == "auto":
-        method = "exact" if patch.exact_hessian else "fd"
-    out = np.full(x.shape, np.nan)
-    if method == "exact":
-        vals = _curvature_exact(patch, x, y)
-        out[keep] = vals[keep]
-        return out
-    h = patch.fd_step()
-    x0, x1, y0, y1 = patch.rect
-    room = np.minimum.reduce([x - x0, x1 - x, y - y0, y1 - y])
-    keep = keep & (room >= 2.0 * h)
-    if keep.any():
-        xs, ys = x[keep], y[keep]
-        ok = np.ones(xs.shape, dtype=bool)
-        vals = np.full(xs.shape, np.nan)
-        # Stencil legs that hit the characteristic set drop their point.
-        try:
-            vals = _curvature_fd(patch, xs, ys, h, char_tol)
-        except CharacteristicError:
-            for i in range(xs.size):
-                try:
-                    vals[i] = _curvature_fd(patch, xs[i], ys[i], h, char_tol)
-                except CharacteristicError:
-                    ok[i] = False
-        res = np.full(xs.shape, np.nan)
-        res[ok] = np.asarray(vals)[ok]
-        out[keep] = res
-    return out
+    return np.where(keep, _curvature(patch, x, y), np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -606,26 +540,16 @@ def variation(patch: GraphPatch, phi: Bump, *, res: int = 24,
     Raises SupportError when the bump leaves the domain, touches the
     mask, or overlaps the characteristic set.
     """
-    sx0, sx1, sy0, sy1 = phi.support
-    x0, x1, y0, y1 = patch.rect
-    if sx0 < x0 or sx1 > x1 or sy0 < y0 or sy1 > y1:
-        raise SupportError("bump support leaves the patch domain")
     if char_points is None:
         char_points = characteristic_scan(patch, scan_grid,
                                           char_tol=char_tol)
-    if len(char_points):
-        inx = (char_points[:, 0] >= sx0 - char_margin) \
-            & (char_points[:, 0] <= sx1 + char_margin) \
-            & (char_points[:, 1] >= sy0 - char_margin) \
-            & (char_points[:, 1] <= sy1 + char_margin)
-        if bool(inx.any()):
-            raise SupportError(
-                "bump support overlaps the characteristic set")
+    sx0, sx1, sy0, sy1 = phi.support
     xs, wx = gauss_legendre(res, sx0, sx1)
     ys, wy = gauss_legendre(res, sy0, sy1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    if patch.mask_fn is not None and not np.all(patch.mask_fn(X, Y)):
-        raise SupportError("bump support touches the patch mask")
+    fault = _support_fault(patch, phi, char_points, char_margin, X, Y)
+    if fault:
+        raise SupportError(fault)
     p, q, mag = gauss_grid(patch, X, Y)
     if np.any(mag <= char_tol):
         raise SupportError("bump support overlaps the characteristic set")
@@ -672,22 +596,33 @@ def bump_battery(patch: GraphPatch, count: int = 20, *,
     return chosen
 
 
-def _bump_admissible(patch, phi, char_points, char_margin, char_tol):
+def _support_fault(patch, phi, char_points, char_margin, X, Y):
+    """Why bump ``phi`` is unusable on ``patch``, or None.
+
+    Its support must stay inside the rectangle and ``char_margin`` clear
+    of ``char_points``, and the nodes X, Y must stay off the mask.
+    """
     sx0, sx1, sy0, sy1 = phi.support
     x0, x1, y0, y1 = patch.rect
     if sx0 < x0 or sx1 > x1 or sy0 < y0 or sy1 > y1:
-        return False
+        return "bump support leaves the patch domain"
     if len(char_points):
         inx = (char_points[:, 0] >= sx0 - char_margin) \
             & (char_points[:, 0] <= sx1 + char_margin) \
             & (char_points[:, 1] >= sy0 - char_margin) \
             & (char_points[:, 1] <= sy1 + char_margin)
         if bool(inx.any()):
-            return False
-    px = np.linspace(sx0, sx1, 9)
-    py = np.linspace(sy0, sy1, 9)
-    PX, PY = np.meshgrid(px, py, indexing="ij")
-    if patch.mask_fn is not None and not np.all(patch.mask_fn(PX, PY)):
+            return "bump support overlaps the characteristic set"
+    if patch.mask_fn is not None and not np.all(patch.mask_fn(X, Y)):
+        return "bump support touches the patch mask"
+    return None
+
+
+def _bump_admissible(patch, phi, char_points, char_margin, char_tol):
+    sx0, sx1, sy0, sy1 = phi.support
+    PX, PY = np.meshgrid(np.linspace(sx0, sx1, 9), np.linspace(sy0, sy1, 9),
+                         indexing="ij")
+    if _support_fault(patch, phi, char_points, char_margin, PX, PY):
         return False
     _, _, mag = gauss_grid(patch, PX, PY)
     return bool(np.all(mag > char_tol))
@@ -716,9 +651,8 @@ def minimality_residual(patch: GraphPatch, *, grid_n: int = 41,
     """
     char_pts = characteristic_scan(patch, scan_grid, char_tol=char_tol)
     x0, x1, y0, y1 = patch.rect
-    inset = 2.5 * patch.fd_step() if not patch.exact_hessian else 0.0
-    gx = np.linspace(x0 + inset, x1 - inset, grid_n)
-    gy = np.linspace(y0 + inset, y1 - inset, grid_n)
+    gx = np.linspace(x0, x1, grid_n)
+    gy = np.linspace(y0, y1, grid_n)
     X, Y = np.meshgrid(gx, gy, indexing="ij")
     H = curvature_field(patch, X, Y, char_tol=char_tol,
                         char_margin=char_margin, char_points=char_pts)

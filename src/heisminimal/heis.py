@@ -87,9 +87,4 @@ def perp(v):
     return (b, -a)
 
 
-def left_translate_to_origin(anchor, p) -> HPoint:
-    """mul(inv(anchor), p): move ``anchor`` to the identity."""
-    return mul(inv(as_point(anchor)), p)
-
-
 IDENTITY = HPoint(0.0, 0.0, 0.0)

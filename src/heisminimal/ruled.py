@@ -576,7 +576,6 @@ class RuledLiftPatch(GraphPatch):
         if rect is None:
             rect = (X.min(), X.max(), Y.min(), Y.max())
         super().__init__(rect, mask_fn=self._mask)
-        self.exact_hessian = True
 
     def _mask(self, x, y):
         return self.invert(x, y)[2]

@@ -4,6 +4,7 @@ Most tests call ``main`` in process; a few go through a real interpreter to
 cover the module entry point.
 """
 
+import csv
 import json
 import math
 import subprocess
@@ -78,6 +79,28 @@ class TestExitCodes:
         assert rc == 1
         assert "internal error" in capsys.readouterr().err
 
+    def _fixture_with(self, tmp_path, fixture, **changes):
+        cfg = json.loads((FIXTURES / fixture).read_text())
+        cfg.update(changes)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    def test_nan_t_max_names_the_field(self, tmp_path, capsys):
+        cfg = self._fixture_with(tmp_path, "flow_rotation.json",
+                                 t_max=math.nan)
+        rc = cli.main(["flow-trace", "--input", str(cfg),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "t_max" in capsys.readouterr().err
+
+    def test_zero_n_chords_names_the_field(self, tmp_path, capsys):
+        cfg = self._fixture_with(tmp_path, "good_curve.json", n_chords=0)
+        rc = cli.main(["assemble", "--input", str(cfg),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "n_chords" in capsys.readouterr().err
+
     def test_success_is_zero_even_for_negative_verdicts(self, tmp_path):
         # an obstruction is a finding, not a failure
         rc, verdict, _ = run(tmp_path, "phi-continue", "bad_curve.json")
@@ -116,6 +139,39 @@ class TestWorkedExamples:
         assert len(char_rows) == 1
         x, y = char_rows[0].split(",")[:2]
         assert float(x) == 0.0 and float(y) == 0.0
+
+    def test_flow_trace_csv_parses_to_floats(self, tmp_path):
+        rc, _, out = run(tmp_path, "flow-trace", "flow_rotation.json")
+        assert rc == 0
+        tables = sorted(out.glob("*.csv"))
+        assert tables
+        for path in tables:
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert len(rows) > 1
+            assert all(len(r) == len(rows[0]) for r in rows)
+            values = [float(c) for r in rows[1:] for c in r]
+            assert all(math.isfinite(v) for v in values)
+
+    def test_sampled_plane_with_interior_characteristic_point(self,
+                                                              tmp_path):
+        # the plane's characteristic point (0.672, -0.477) lies inside
+        domain = [-1.0, 1.16, -1.0, 1.1]
+        xs = np.linspace(domain[0], domain[1], 24)
+        ys = np.linspace(domain[2], domain[3], 24)
+        values = 0.2385 * xs[:, None] + 0.336 * ys[None, :] - 0.353
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"patch": {
+            "domain": domain,
+            "u": {"xs": xs.tolist(), "ys": ys.tolist(),
+                  "values": values.tolist()}}}))
+        rc = cli.main(["minimality", "--input", str(cfg),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 0
+        verdict = json.loads((tmp_path / "o" / "verdict.json").read_text())
+        assert verdict["verdict"] == "H_MINIMAL"
+        assert verdict["strong_residual"] <= 1e-9
+        assert verdict["n_characteristic"] == 1
 
 
 # every fixture feeds at least one command; expectations pin the headline

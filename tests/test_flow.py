@@ -125,6 +125,8 @@ class TestPicard:
             picard(const, (2.0, 0.0), 1.0)
         with pytest.raises(ValueError, match="positive"):
             picard(const, (0.0, 0.0), -1.0)
+        with pytest.raises(ValueError, match="finite"):
+            picard(const, (0.0, 0.0), math.nan)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2048), st.integers(0, 2048))
