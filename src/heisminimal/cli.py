@@ -74,6 +74,18 @@ def _require(cfg: dict, required: set, optional: set = frozenset()):
         raise ValueError(f"config missing keys: {sorted(missing)}")
 
 
+def _number(cfg: dict, key: str, kind=float, default=None, label=None):
+    """``kind(cfg[key])``, ``default`` when absent, None for null."""
+    value = cfg.get(key, default)
+    if value is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{label or key} must be a number, "
+                         f"got {value!r}") from None
+
+
 def _jsonable(v):
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
@@ -259,8 +271,8 @@ def _cmd_build_ruled(cfg, args, out: Path) -> dict:
     seed_rep = validate_seed(surface.seed)
     mesh_cfg = cfg.get("mesh", {})
     _require(mesh_cfg, set(), {"s_n", "r_n"})
-    s_n = int(mesh_cfg.get("s_n", args.grid or 48))
-    r_n = int(mesh_cfg.get("r_n", 12))
+    s_n = _number(mesh_cfg, "s_n", int, args.grid or 48, "mesh.s_n")
+    r_n = _number(mesh_cfg, "r_n", int, 12, "mesh.r_n")
     text = export_mesh(surface, s_n=s_n, r_n=r_n)
     (out / "mesh.txt").write_text(text)
     verts, faces = _parse_mesh_text(text)
@@ -383,8 +395,9 @@ def _cmd_plateau_scan(cfg, args, out: Path) -> dict:
 def _cmd_phi_continue(cfg, args, out: Path) -> dict:
     _require(cfg, {"curve"}, _CURVE_JOB_OPTIONAL)
     curve = ClosedCurve.from_config(cfg["curve"])
-    cont = phi_continue(curve, float(cfg.get("t_start", 0.0)),
-                        cfg.get("phi_start"), offset=args.seed_offset)
+    t_start = _number(cfg, "t_start", default=0.0)
+    cont = phi_continue(curve, t_start, _number(cfg, "phi_start"),
+                        offset=args.seed_offset)
     _write_csv(out / "branch.csv", "t,phi,phi_prime",
                zip(cont.t, cont.phi, cont.phi_prime))
     (out / "phi_plot.svg").write_text(
@@ -395,7 +408,7 @@ def _cmd_phi_continue(cfg, args, out: Path) -> dict:
         "command": "phi-continue",
         "status": cont.status,
         "reason": cont.reason,
-        "t_start": float(cfg.get("t_start", 0.0)),
+        "t_start": t_start,
         "obstruction_t": cont.obstruction_t,
         "diagonal_t": cont.diagonal_t,
         "t_end": float(cont.t[-1]),
@@ -407,13 +420,14 @@ def _cmd_phi_continue(cfg, args, out: Path) -> dict:
 def _cmd_assemble(cfg, args, out: Path) -> dict:
     _require(cfg, {"curve"}, _CURVE_JOB_OPTIONAL)
     curve = ClosedCurve.from_config(cfg["curve"])
-    t_start = float(cfg.get("t_start", 0.0))
-    phi_start = cfg.get("phi_start")
+    t_start = _number(cfg, "t_start", default=0.0)
+    phi_start = _number(cfg, "phi_start")
     force = bool(cfg.get("force", False))
-    n_chords = int(cfg.get("n_chords", 128))
+    n_chords = _number(cfg, "n_chords", int, 128)
     if n_chords < 1:
         raise ValueError(f"n_chords must be at least 1, got {n_chords}")
-    cont = phi_continue(curve, t_start, phi_start, offset=args.seed_offset)
+    cont = phi_continue(curve, t_start, phi_start, offset=args.seed_offset,
+                        stop_at_obstruction=not force)
     if cont.status != "MONOTONE" and not force:
         return {
             "command": "assemble",
@@ -423,9 +437,7 @@ def _cmd_assemble(cfg, args, out: Path) -> dict:
             "obstruction_t": cont.obstruction_t,
             "hint": "set force to true to assemble past the obstruction",
         }
-    rep = spanning_assemble(curve, t_start, phi_start, force=force,
-                            n_chords=n_chords,
-                            offset=args.seed_offset)
+    rep = spanning_assemble(curve, cont, force=force, n_chords=n_chords)
     rows = [(c[0, 0], c[0, 1], c[0, 2], c[1, 0], c[1, 1], c[1, 2])
             for c in rep.chords]
     _write_csv(out / "chords.csv", "x0,y0,t0,x1,y1,t1", rows)
@@ -453,8 +465,8 @@ def _cmd_assemble(cfg, args, out: Path) -> dict:
 
 def _cmd_flow_trace(cfg, args, out: Path) -> dict:
     _require(cfg, {"field", "start", "t_max"}, {"mollify", "n_steps"})
-    t_max = float(cfg["t_max"])
-    if not (math.isfinite(t_max) and t_max > 0):
+    t_max = _number(cfg, "t_max")
+    if t_max is None or not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be finite and positive, got {t_max}")
     fcfg = cfg["field"]
     if not isinstance(fcfg, dict):
@@ -469,15 +481,15 @@ def _cmd_flow_trace(cfg, args, out: Path) -> dict:
         field = PlanarField.from_exprs(fcfg["ax"], fcfg["ay"],
                                        tuple(fcfg["rect"]))
     sup_gap = None
-    eps = cfg.get("mollify")
+    eps = _number(cfg, "mollify")
     if eps is not None:
-        field = mollify(field, float(eps))
+        field = mollify(field, eps)
         sup_gap = field.sup_gap
     start = cfg["start"]
     if not (isinstance(start, (list, tuple)) and len(start) == 2):
         raise ValueError("start must be [x, y]")
     curve = picard(field, start, t_max,
-                   n_steps=int(cfg.get("n_steps", 2048)))
+                   n_steps=_number(cfg, "n_steps", int, 2048))
     curve.to_csv(out / "trace.csv")
     pts = np.column_stack([curve.x, curve.y])
     if pts.shape[0] >= 2:

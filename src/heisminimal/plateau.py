@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .dual import Jet1
 from .expr import Expr, evaluate, parse
 from .geom import plane_fit, segment_crossings
 from .heis import HPoint
+from .roots import scan_zeros
 
 TWO_PI = 2.0 * math.pi
 
@@ -146,72 +146,22 @@ def access_set(curve: ClosedCurve, t: float, *, n: int = 1024,
                dedup_tol: float = 1e-7) -> AccessSet:
     """Partners of t: zeros of theta -> F(t, theta) over one period.
 
-    Transversal zeros are bisected, tangential touches are detected as
-    local minima of |F| below ``tangential_tol`` and flagged.
+    Transversal zeros are refined by Brent's method to ``refine_tol``;
+    tangential touches are local minima of |F| below ``tangential_tol``
+    and are flagged.  Zeros within ``dedup_tol`` merge, transversal
+    winning, and every theta lies in [0, period).  See
+    ``roots.scan_zeros`` for the rules.
     """
     if n < 256:
         raise ValueError("need at least 256 grid points")
     period = curve.period
     t = float(t)
     thetas = np.linspace(0.0, period, n, endpoint=False)
-    f = access_value(curve, t, thetas)
-
-    def f_at(th):
-        return float(access_value(curve, t, th))
-
-    found = []  # (theta, tangential)
-    sign = np.sign(f)
-    for k in range(n):
-        k2 = (k + 1) % n
-        a, b = thetas[k], thetas[k] + period / n
-        if sign[k] == 0.0:
-            # exact grid zero: classify by the flanking signs
-            crosses = sign[(k - 1) % n] * sign[k2] < 0
-            found.append((float(thetas[k]), not crosses))
-        elif sign[k] * sign[k2] < 0:
-            # a fresh scalar evaluation can flip the last bit of a value
-            # the grid pass rounded across zero; verify the bracket before
-            # handing it to brentq
-            fa, fb = f_at(a), f_at(b)
-            if fa * fb < 0.0:
-                root = brentq(f_at, a, b, xtol=refine_tol)
-                found.append((float(root), False))
-            else:
-                # zero sits on a node up to rounding: classify by the
-                # signs flanking that node, as in the exact-zero branch
-                if abs(fa) <= abs(fb):
-                    node, lo, hi = a, (k - 1) % n, k2
-                else:
-                    node, lo, hi = b, k, (k + 2) % n
-                crosses = sign[lo] * sign[hi] < 0
-                found.append((float(node % period), not crosses))
-    av = np.abs(f)
-    for k in range(n):
-        prev, nxt = av[(k - 1) % n], av[(k + 1) % n]
-        if av[k] <= prev and av[k] <= nxt:
-            a = thetas[k] - period / n
-            b = thetas[k] + period / n
-            res = minimize_scalar(lambda th: abs(f_at(th)), bounds=(a, b),
-                                  method="bounded",
-                                  options={"xatol": refine_tol})
-            if abs(f_at(float(res.x))) <= tangential_tol:
-                found.append((float(res.x) % period, True))
-    found.sort()
-    thetas_out, flags = [], []
-    for theta, tang in found:
-        placed = False
-        for i, existing in enumerate(thetas_out):
-            gap = abs(theta - existing)
-            gap = min(gap, period - gap)
-            if gap <= dedup_tol:
-                flags[i] = flags[i] and tang  # transversal wins
-                placed = True
-                break
-        if not placed:
-            thetas_out.append(theta)
-            flags.append(tang)
-    return AccessSet(t=t, thetas=np.asarray(thetas_out, dtype=float),
-                     tangential=np.asarray(flags, dtype=bool))
+    zeros, flags = scan_zeros(
+        lambda th: float(access_value(curve, t, th)), thetas,
+        access_value(curve, t, thetas), xtol=refine_tol,
+        merge_tol=dedup_tol, period=period, touch_tol=tangential_tol)
+    return AccessSet(t=t, thetas=zeros, tangential=flags)
 
 
 @dataclass(frozen=True)
@@ -224,39 +174,10 @@ class IsolatedReport:
 
 def _defect_zeros(curve: ClosedCurve, n: int) -> np.ndarray:
     thetas = np.linspace(0.0, curve.period, n, endpoint=False)
-    w = legendrian_defect(curve, thetas)
-
-    def w_at(th):
-        return float(legendrian_defect(curve, th))
-
-    roots = []
-    sign = np.sign(w)
-    for k in range(n):
-        k2 = (k + 1) % n
-        if sign[k] == 0.0:
-            roots.append(float(thetas[k]))
-        elif sign[k] * sign[k2] < 0:
-            a = thetas[k]
-            b = thetas[k] + curve.period / n
-            wa, wb = w_at(a), w_at(b)
-            if wa * wb < 0.0:
-                roots.append(float(brentq(w_at, a, b, xtol=1e-12)))
-            else:
-                # node-exact zero that the grid pass rounded across
-                roots.append(float((a if abs(wa) <= abs(wb) else b)
-                                   % curve.period))
-    out = []
-    for r in sorted(roots):
-        r %= curve.period
-        if not out or min(abs(r - out[-1]),
-                          curve.period - abs(r - out[-1])) > 1e-9:
-            out.append(r)
-    if len(out) > 1:
-        gap = min(abs(out[0] - out[-1]),
-                  curve.period - abs(out[0] - out[-1]))
-        if gap <= 1e-9:
-            out.pop()
-    return np.asarray(out, dtype=float)
+    zeros, _ = scan_zeros(lambda th: float(legendrian_defect(curve, th)),
+                          thetas, legendrian_defect(curve, thetas),
+                          xtol=1e-12, merge_tol=1e-9, period=curve.period)
+    return zeros
 
 
 def isolated_points(curve: ClosedCurve, *, n: int = 1024,
@@ -270,24 +191,20 @@ def isolated_points(curve: ClosedCurve, *, n: int = 1024,
     impossible and are reported instead of trusted.
     """
     period = curve.period
-    zeros = _defect_zeros(curve, n)
-    out, defects = [], []
-    for t0 in zeros:
-        aset = access_set(curve, t0, n=n)
-        gaps = np.abs(aset.thetas - t0)
+
+    def singleton(t0, n_grid):
+        gaps = np.abs(access_set(curve, t0, n=n_grid).thetas - t0)
         gaps = np.minimum(gaps, period - gaps)
-        if gaps.size and gaps.max() <= match_tol:
-            out.append(t0)
-            defects.append(float(legendrian_defect(curve, t0)))
+        return gaps.size > 0 and gaps.max() <= match_tol
+
+    out = [t0 for t0 in _defect_zeros(curve, n) if singleton(t0, n)]
+    defects = [float(legendrian_defect(curve, t0)) for t0 in out]
     notes = []
     probe = np.linspace(0.0, period, 32, endpoint=False)
     for t0 in probe:
         if abs(float(legendrian_defect(curve, t0))) < 1e-3:
             continue
-        aset = access_set(curve, float(t0), n=max(n // 2, 256))
-        gaps = np.abs(aset.thetas - t0)
-        gaps = np.minimum(gaps, period - gaps)
-        if gaps.size and gaps.max() <= match_tol:
+        if singleton(float(t0), max(n // 2, 256)):
             notes.append(f"singleton access set at non-horizontal t={t0:.6f}")
     return IsolatedReport(thetas=np.asarray(out, dtype=float),
                           defects=np.asarray(defects, dtype=float),
@@ -457,21 +374,17 @@ class AssembleReport:
     chords: np.ndarray           # (n, 2, 3): endpoint triples
 
 
-def spanning_assemble(curve: ClosedCurve, t_start: float,
-                      phi_start: Optional[float] = None, *,
+def spanning_assemble(curve: ClosedCurve, cont: Continuation, *,
                       force: bool = False, n_chords: int = 128,
-                      offset: float = 1e-4,
                       vertex_tol: float = 1e-6) -> AssembleReport:
-    """Sweep the continued chord family into a candidate spanning disk.
+    """Sweep the branch ``cont`` into a candidate spanning disk.
 
     Requires a MONOTONE branch unless ``force`` overrides; the forced
-    path still measures everything and reports the fold instead of
-    hiding it.  The planar projections of the chords may meet; they
-    must do so at one common point (the candidate's center) or the
-    family folds over itself.
+    path (continued with ``stop_at_obstruction=False``) still measures
+    everything and reports the fold instead of hiding it.  The planar
+    projections of the chords may meet; they must do so at one common
+    point (the candidate's center) or the family folds over itself.
     """
-    cont = phi_continue(curve, t_start, phi_start, offset=offset,
-                        stop_at_obstruction=not force)
     if cont.status != "MONOTONE" and not force:
         raise ValueError(f"branch is {cont.status}, not MONOTONE; "
                          "pass force=True to assemble anyway")

@@ -23,7 +23,6 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq, minimize_scalar
 from scipy.spatial import cKDTree
 
 from .dual import Jet1
@@ -32,6 +31,7 @@ from .geom import cluster_points, segment_crossings
 from .graph import (CHAR_TOL, DomainError, ExprPatch, GraphPatch,
                     minimality_residual)
 from .heis import HPoint
+from .roots import scan_zeros
 
 # A seed with curvature below this is treated as locally straight; the
 # characteristic quadratic degenerates to a linear equation there.
@@ -155,6 +155,11 @@ class SeedCurve:
     def point(self, s):
         j = self.jets(s)
         return j[0], j[4]
+
+    def grid(self, n: int) -> np.ndarray:
+        """n parameters over the range; a closed seed omits the end."""
+        s0, s1 = self.s_range
+        return np.linspace(s0, s1, n, endpoint=not self.closed)
 
     def wrap(self, s):
         """Reduce s into the base interval for closed seeds."""
@@ -379,11 +384,7 @@ def _char_roots_scalar(kappa: float, w0: float):
 def char_locus(surface: RuledSurface, s_grid=257) -> CharLocus:
     """Characteristic radii of the lift over a grid of seed parameters."""
     if np.isscalar(s_grid):
-        s0, s1 = surface.seed.s_range
-        if surface.seed.closed:
-            s = np.linspace(s0, s1, int(s_grid), endpoint=False)
-        else:
-            s = np.linspace(s0, s1, int(s_grid))
+        s = surface.seed.grid(int(s_grid))
     else:
         s = np.asarray(s_grid, dtype=float)
     f = surface._frame(s)
@@ -413,8 +414,11 @@ def beta_denominator_roots(surface: RuledSurface, s: float, *,
                            n: int = 4001, tol: float = 1e-10) -> np.ndarray:
     """Roots of the slope denominator in r, found by scanning.
 
-    Independent of the closed-form quadratic: sign changes are refined
-    by bisection, tangential touches by bounded minimization of |D|.
+    Independent of the closed-form quadratic: ``roots.scan_zeros`` over
+    an n-point grid of the r-range refines sign changes by Brent's
+    method and tangential touches (|D| <= ``tol`` times the scale of
+    the coefficients) by bounded minimization of |D|, away from the
+    sign changes; roots within 1e-9 merge.
     """
     f = surface._frame(np.asarray([float(s)]))
     kappa = float(f["kappa"][0])
@@ -425,32 +429,10 @@ def beta_denominator_roots(surface: RuledSurface, s: float, *,
 
     r0, r1 = surface.r_range
     grid = np.linspace(r0, r1, n)
-    vals = den(grid)
     scale = max(1.0, abs(w0), abs(r1), abs(r0))
-    roots = []
-    sign = np.sign(vals)
-    flips = np.nonzero((sign[:-1] * sign[1:]) < 0)[0]
-    for k in flips:
-        roots.append(brentq(den, grid[k], grid[k + 1], xtol=1e-14))
-    for k in np.nonzero(sign == 0)[0]:
-        roots.append(float(grid[k]))
-    av = np.abs(vals)
-    interior = np.nonzero((av[1:-1] <= av[:-2]) & (av[1:-1] <= av[2:]))[0] + 1
-    for k in interior:
-        res = minimize_scalar(lambda r: abs(den(r)),
-                              bounds=(grid[k - 1], grid[k + 1]),
-                              method="bounded",
-                              options={"xatol": 1e-14})
-        if abs(den(res.x)) <= tol * scale:
-            roots.append(float(res.x))
-    if not roots:
-        return np.asarray([], dtype=float)
-    roots = np.sort(np.asarray(roots, dtype=float))
-    keep = [roots[0]]
-    for r in roots[1:]:
-        if r - keep[-1] > 1e-9:
-            keep.append(r)
-    return np.asarray(keep, dtype=float)
+    roots, _ = scan_zeros(den, grid, den(grid), xtol=1e-14, merge_tol=1e-9,
+                          touch_tol=tol * scale)
+    return roots
 
 
 @dataclass(frozen=True)
@@ -508,11 +490,7 @@ def rule_crossing_scan(surface: RuledSurface, s_n: int = 64, *,
     on the planar characteristic set.  A rule meeting two or more
     distinct characteristic crossing points fails the diagnostic.
     """
-    s0, s1 = surface.seed.s_range
-    if surface.seed.closed:
-        s = np.linspace(s0, s1, s_n, endpoint=False)
-    else:
-        s = np.linspace(s0, s1, s_n)
+    s = surface.seed.grid(s_n)
     (ax, ay), (bx, by) = surface.rule_segment(s)
     p0 = np.column_stack([ax, ay])
     p1 = np.column_stack([bx, by])
@@ -559,13 +537,9 @@ class RuledLiftPatch(GraphPatch):
                  seed_grid=(192, 64), newton_tol: float = 1e-12,
                  max_iter: int = 40):
         self.surface = surface
-        s0, s1 = surface.seed.s_range
         r0, r1 = surface.r_range
         sn, rn = seed_grid
-        if surface.seed.closed:
-            s_nodes = np.linspace(s0, s1, sn, endpoint=False)
-        else:
-            s_nodes = np.linspace(s0, s1, sn)
+        s_nodes = surface.seed.grid(sn)
         r_nodes = np.linspace(r0, r1, rn)
         S, R = np.meshgrid(s_nodes, r_nodes, indexing="ij")
         X, Y, _ = surface.param_F(S.ravel(), R.ravel(), check=False)
@@ -818,11 +792,7 @@ def horizontal_thickness(surface: RuledSurface, rect,
     not raised.
     """
     x0, x1, y0, y1 = (float(v) for v in rect)
-    s0, s1 = surface.seed.s_range
-    if surface.seed.closed:
-        s = np.linspace(s0, s1, s_n, endpoint=False)
-    else:
-        s = np.linspace(s0, s1, s_n)
+    s = surface.seed.grid(s_n)
     j = surface.seed.jets(s)
     px, py = j[0], j[4]
     dx, dy = j[5], -j[1]  # rule direction, unit for a valid seed
@@ -915,12 +885,8 @@ def surface_from_config(cfg: dict, *, validate: bool = True) -> RuledSurface:
 
 def export_mesh(surface: RuledSurface, s_n: int = 48, r_n: int = 12) -> str:
     """Wavefront-style mesh of the lift; deterministic text."""
-    s0, s1 = surface.seed.s_range
     r0, r1 = surface.r_range
-    if surface.seed.closed:
-        s = np.linspace(s0, s1, s_n, endpoint=False)
-    else:
-        s = np.linspace(s0, s1, s_n)
+    s = surface.seed.grid(s_n)
     r = np.linspace(r0, r1, r_n)
     S, R = np.meshgrid(s, r, indexing="ij")
     X, Y, T = surface.lift(S.ravel(), R.ravel(), check=False)

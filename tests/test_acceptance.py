@@ -190,7 +190,7 @@ def test_criterion_06_good_curve_spans(capsys):
     interior = np.linspace(0.05, TWO_PI - 0.05, 20001)
     floor = float(np.abs(access_value(curve, 0.0, interior)).min())
     cont = phi_continue(curve, 0.0)
-    rep = spanning_assemble(curve, 0.0)
+    rep = spanning_assemble(curve, cont)
     ok = (singleton and floor > 1e-9
           and cont.status == "MONOTONE"
           and cont.diagonal_t is not None

@@ -101,6 +101,29 @@ class TestExitCodes:
         assert rc == 2
         assert "n_chords" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,fixture,changes,field", [
+        ("assemble", "good_curve.json", {"t_start": "abc"}, "t_start"),
+        ("phi-continue", "good_curve.json", {"phi_start": "abc"},
+         "phi_start"),
+        ("assemble", "good_curve.json", {"n_chords": "abc"}, "n_chords"),
+        ("flow-trace", "flow_rotation.json", {"t_max": "abc"}, "t_max"),
+        ("flow-trace", "flow_rotation.json", {"n_steps": "abc"}, "n_steps"),
+        ("flow-trace", "flow_rotation.json", {"mollify": "abc"}, "mollify"),
+        ("build-ruled", "ruled_circle.json", {"mesh": {"s_n": "abc"}},
+         "mesh.s_n"),
+        ("build-ruled", "ruled_circle.json", {"mesh": {"r_n": "abc"}},
+         "mesh.r_n"),
+    ])
+    def test_non_numeric_value_names_the_field(self, tmp_path, capsys,
+                                               command, fixture, changes,
+                                               field):
+        cfg = self._fixture_with(tmp_path, fixture, **changes)
+        rc = cli.main([command, "--input", str(cfg),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert field in err and "'abc'" in err
+
     def test_success_is_zero_even_for_negative_verdicts(self, tmp_path):
         # an obstruction is a finding, not a failure
         rc, verdict, _ = run(tmp_path, "phi-continue", "bad_curve.json")

@@ -167,6 +167,18 @@ class TestAccessSet:
                                    atol=1e-10)
         assert not out.tangential.any()
 
+    @pytest.mark.parametrize("make", [good_curve, bad_curve, nonleg_curve,
+                                      planar_circle, complicated_curve],
+                             ids=lambda m: m.__name__)
+    def test_transversal_zeros_are_accurate_and_in_period(self, make):
+        curve = make()
+        for t in np.arange(24) * math.pi / 12:
+            out = access_set(curve, t)
+            assert np.all((out.thetas >= 0.0) & (out.thetas < TWO_PI)), t
+            crossing = out.thetas[~out.tangential]
+            f = np.abs(access_value(curve, t, crossing))
+            assert f.size == 0 or f.max() <= 1e-10, (t, f.max())
+
     def test_good_curve_base_point_is_alone(self):
         out = access_set(good_curve(), 0.0)
         assert out.thetas.size == 1
@@ -228,7 +240,8 @@ class TestPhiContinue:
 
 class TestSpanningAssemble:
     def test_planar_circle_cone_over_the_center(self):
-        report = spanning_assemble(planar_circle(), 0.0, math.pi)
+        curve = planar_circle()
+        report = spanning_assemble(curve, phi_continue(curve, 0.0, math.pi))
         assert report.ok and report.fold_ok
         assert report.vertex is not None
         assert math.hypot(*report.vertex) <= 1e-9
@@ -236,17 +249,21 @@ class TestSpanningAssemble:
         assert report.max_on_manifold <= 1e-9
 
     def test_good_curve_assembles_without_folds(self):
-        report = spanning_assemble(good_curve(), 0.0)
+        curve = good_curve()
+        report = spanning_assemble(curve, phi_continue(curve, 0.0))
         assert report.ok and report.fold_ok
         assert report.max_rule_defect <= 1e-10
         assert report.continuation.status == "MONOTONE"
 
     def test_obstructed_branch_refused_without_force(self):
+        curve = bad_curve()
         with pytest.raises(ValueError, match="force"):
-            spanning_assemble(bad_curve(), 0.0)
+            spanning_assemble(curve, phi_continue(curve, 0.0))
 
     def test_forced_assembly_exposes_the_fold(self):
-        report = spanning_assemble(bad_curve(), 0.0, force=True)
+        curve = bad_curve()
+        cont = phi_continue(curve, 0.0, stop_at_obstruction=False)
+        report = spanning_assemble(curve, cont, force=True)
         assert not report.fold_ok
         assert not report.ok
         # the chords stay horizontal; the failure is the fold alone
