@@ -86,16 +86,30 @@ def _number(cfg: dict, key: str, kind=float, default=None, label=None):
                          f"got {value!r}") from None
 
 
-def _jsonable(v):
+class VerdictError(Exception):
+    """A verdict field holds a number JSON cannot carry (NaN or inf).
+
+    Not a ValueError: the config was fine, the program produced the
+    number, so ``main`` reports it as an internal error (exit 1).
+    """
+
+
+def _jsonable(v, path="verdict"):
+    """JSON-ready copy of ``v``; a non-finite float raises, naming its path.
+
+    A field that may be absent must say so with an explicit None.
+    """
     if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
+        return {str(k): _jsonable(x, f"{path}.{k}") for k, x in v.items()}
     if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
+        return [_jsonable(x, f"{path}[{i}]") for i, x in enumerate(v)]
     if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
+        return _jsonable(v.tolist(), path)
     if isinstance(v, (np.floating, float)):
         f = float(v)
-        return f if math.isfinite(f) else None
+        if not math.isfinite(f):
+            raise VerdictError(f"{path} is {f!r}, which JSON cannot carry")
+        return f
     if isinstance(v, (np.bool_, bool)):
         return bool(v)
     if isinstance(v, (np.integer, int)):

@@ -3,7 +3,9 @@
 Two flavors cover everything downstream:
 
 * ``Jet1`` -- univariate, carries value and d/ds up to third order (seed
-  curves need three derivatives, boundary curves two).
+  curves need three derivatives, boundary curves two).  ``expr.deriv``
+  runs on it; the curve and seed jets come from ``expr.jet_kernel``,
+  which replays these rules in compiled form and is tested against them.
 * ``Jet2`` -- bivariate in (x, y), carries value, gradient, and Hessian.
 
 Coefficients may be Python floats or numpy arrays; all rules are plain

@@ -22,22 +22,12 @@ from typing import Optional
 
 import numpy as np
 
-from .dual import Jet1
-from .expr import Expr, evaluate, parse
+from .expr import jet_kernel, parse
 from .geom import plane_fit, segment_crossings
 from .heis import HPoint
 from .roots import scan_zeros
 
 TWO_PI = 2.0 * math.pi
-
-
-def _jet_parts(value, like):
-    if isinstance(value, Jet1):
-        parts = (value.f, value.d1, value.d2, value.d3)
-    else:
-        parts = (value, 0.0, 0.0, 0.0)
-    return tuple(np.broadcast_to(np.asarray(p, dtype=float), like.shape)
-                 for p in parts)
 
 
 class ClosedCurve:
@@ -53,6 +43,7 @@ class ClosedCurve:
 
         self.c1, self.c2, self.c3 = (as_expr(c) for c in (c1, c2, c3))
         self.period = float(period)
+        self._kernels = {}
         if not self.period > 0:
             raise ValueError("period must be positive")
         a = np.asarray(self.point(0.0))
@@ -76,18 +67,21 @@ class ClosedCurve:
         return ClosedCurve(c[0], c[1], c[2],
                            float(cfg.get("period", TWO_PI)))
 
+    def parts(self, theta, order: int):
+        """Per component (value, d1, ..., d_order), shaped like theta."""
+        kernel = self._kernels.get(order)
+        if kernel is None:
+            kernel = self._kernels[order] = jet_kernel(
+                (self.c1, self.c2, self.c3), "theta", order)
+        return kernel(np.asarray(theta, dtype=float))
+
     def jets(self, theta):
         """Three (value, d1, d2, d3) tuples, arrays shaped like theta."""
-        theta = np.asarray(theta, dtype=float)
-        jt = Jet1.variable(theta)
-        with np.errstate(all="ignore"):
-            out = [evaluate(e, {"theta": jt})
-                   for e in (self.c1, self.c2, self.c3)]
-        return tuple(_jet_parts(o, theta) for o in out)
+        return self.parts(theta, 3)
 
     def point(self, theta):
-        j = self.jets(theta)
-        return j[0][0], j[1][0], j[2][0]
+        (x,), (y,), (t,) = self.parts(theta, 0)
+        return x, y, t
 
     def hpoint(self, theta: float) -> HPoint:
         x, y, t = self.point(float(theta))
@@ -99,25 +93,21 @@ def legendrian_defect(curve: ClosedCurve, theta):
 
     Zero exactly where the curve's tangent is horizontal.
     """
-    (c1, d1, _, _), (c2, d2, _, _), (_, d3, _, _) = curve.jets(theta)
+    (c1, d1), (c2, d2), (_, d3) = curve.parts(theta, 1)
     return d3 + 0.5 * (c2 * d1 - c1 * d2)
 
 
 def access_value(curve: ClosedCurve, t, theta):
     """Vertical gap F(t, theta) of the chord from c(t) to c(theta)."""
-    t = np.asarray(t, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    (a1, _, _, _), (a2, _, _, _), (a3, _, _, _) = curve.jets(t)
-    (b1, _, _, _), (b2, _, _, _), (b3, _, _, _) = curve.jets(theta)
+    a1, a2, a3 = curve.point(t)
+    b1, b2, b3 = curve.point(theta)
     return b3 - a3 + 0.5 * (b1 * a2 - a1 * b2)
 
 
 def access_partials(curve: ClosedCurve, t, theta):
     """(F, dF/dt, dF/dtheta) at (t, theta)."""
-    t = np.asarray(t, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    (a1, da1, _, _), (a2, da2, _, _), (a3, da3, _, _) = curve.jets(t)
-    (b1, db1, _, _), (b2, db2, _, _), (b3, db3, _, _) = curve.jets(theta)
+    (a1, da1), (a2, da2), (a3, da3) = curve.parts(t, 1)
+    (b1, db1), (b2, db2), (b3, db3) = curve.parts(theta, 1)
     f = b3 - a3 + 0.5 * (b1 * a2 - a1 * b2)
     f_t = -da3 + 0.5 * (b1 * da2 - da1 * b2)
     f_theta = db3 + 0.5 * (db1 * a2 - a1 * db2)
@@ -127,7 +117,7 @@ def access_partials(curve: ClosedCurve, t, theta):
 def access_matrix(curve: ClosedCurve, n: int = 1024):
     """(thetas, F) with F[i, j] = F(thetas[i], thetas[j])."""
     thetas = np.linspace(0.0, curve.period, n, endpoint=False)
-    (c1, _, _, _), (c2, _, _, _), (c3, _, _, _) = curve.jets(thetas)
+    c1, c2, c3 = curve.point(thetas)
     f = (c3[None, :] - c3[:, None]
          + 0.5 * (c1[None, :] * c2[:, None] - c1[:, None] * c2[None, :]))
     return thetas, f

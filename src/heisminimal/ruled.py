@@ -25,8 +25,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 from scipy.spatial import cKDTree
 
-from .dual import Jet1
-from .expr import Expr, evaluate, parse
+from .expr import Expr, evaluate, jet_kernel, parse
 from .geom import cluster_points, segment_crossings
 from .graph import (CHAR_TOL, DomainError, ExprPatch, GraphPatch,
                     minimality_residual)
@@ -56,16 +55,6 @@ class SeedValidationError(ValueError):
 # ---------------------------------------------------------------------------
 # Seed curves
 
-def _jet1_arrays(value, like):
-    """Spread a Jet1 (or a constant) into four arrays shaped like ``like``."""
-    if isinstance(value, Jet1):
-        parts = (value.f, value.d1, value.d2, value.d3)
-    else:
-        parts = (value, 0.0, 0.0, 0.0)
-    return tuple(np.broadcast_to(np.asarray(p, dtype=float), like.shape).copy()
-                 for p in parts)
-
-
 class SeedCurve:
     """Planar curve with three derivatives, intended to be unit speed.
 
@@ -93,13 +82,11 @@ class SeedCurve:
         xe = parse(x_src, ("s",)) if isinstance(x_src, str) else x_src
         ye = parse(y_src, ("s",)) if isinstance(y_src, str) else y_src
 
+        kernel = jet_kernel((xe, ye), "s", 3)
+
         def jets_fn(s):
-            s = np.asarray(s, dtype=float)
-            js = Jet1.variable(s)
-            with np.errstate(all="ignore"):
-                jx = evaluate(xe, {"s": js})
-                jy = evaluate(ye, {"s": js})
-            return _jet1_arrays(jx, s) + _jet1_arrays(jy, s)
+            jx, jy = kernel(np.asarray(s, dtype=float))
+            return jx + jy
 
         seed = SeedCurve(s_range, jets_fn, closed=False, source="expr")
         seed.closed, seed.period = _detect_closed(seed)
@@ -214,11 +201,10 @@ class HeightProfile:
     def from_expr(src) -> "HeightProfile":
         e = parse(src, ("s",)) if isinstance(src, str) else src
 
+        kernel = jet_kernel((e,), "s", 2)
+
         def jets_fn(s):
-            s = np.asarray(s, dtype=float)
-            with np.errstate(all="ignore"):
-                out = evaluate(e, {"s": Jet1.variable(s)})
-            return _jet1_arrays(out, s)[:3]
+            return kernel(np.asarray(s, dtype=float))[0]
 
         return HeightProfile(jets_fn, "expr")
 
@@ -523,6 +509,57 @@ def rule_crossing_scan(surface: RuledSurface, s_n: int = 64, *,
 # ---------------------------------------------------------------------------
 # The lift as a graph patch
 
+def _invert_footprint(surf: RuledSurface, tree, params, tol, max_iter, x, y):
+    """Newton solve of F(s, r) = (x, y) from the nearest tabulated node.
+
+    Returns (s, r, converged).  A module function rather than a method,
+    so that a patch's mask can hold it without holding the patch.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    shape = np.broadcast(x, y).shape
+    xf = np.broadcast_to(x, shape).ravel().astype(float)
+    yf = np.broadcast_to(y, shape).ravel().astype(float)
+    s0, s1 = surf.seed.s_range
+    r0, r1 = surf.r_range
+    _, idx = tree.query(np.column_stack([xf, yf]))
+    s = params[idx, 0].copy()
+    r = params[idx, 1].copy()
+    cap_s = 0.5 * (s1 - s0)
+    cap_r = 0.5 * (r1 - r0)
+    for _ in range(max_iter):
+        f = surf._frame(surf.seed.wrap(s))
+        fx = f["x"] + r * f["y1"] - xf
+        fy = f["y"] - r * f["x1"] - yf
+        xs = f["x1"] + r * f["y2"]
+        xr = f["y1"]
+        ys = f["y1"] - r * f["x2"]
+        yr = -f["x1"]
+        det = xs * yr - xr * ys
+        with np.errstate(all="ignore"):
+            ds = (yr * fx - xr * fy) / det
+            dr = (-ys * fx + xs * fy) / det
+        bad = ~(np.isfinite(ds) & np.isfinite(dr))
+        ds[bad] = 0.0
+        dr[bad] = 0.0
+        np.clip(ds, -cap_s, cap_s, out=ds)
+        np.clip(dr, -cap_r, cap_r, out=dr)
+        s -= ds
+        r -= dr
+        if surf.seed.closed:
+            s = surf.seed.wrap(s)
+    f = surf._frame(surf.seed.wrap(s))
+    res = np.hypot(f["x"] + r * f["y1"] - xf, f["y"] - r * f["x1"] - yf)
+    scale = np.maximum(1.0, np.maximum(np.abs(xf), np.abs(yf)))
+    ok = np.isfinite(res) & (res <= tol * scale)
+    r_slack = 1e-9 * max(1.0, r1 - r0)
+    ok &= (r >= r0 - r_slack) & (r <= r1 + r_slack)
+    if not surf.seed.closed:
+        s_slack = 1e-9 * max(1.0, s1 - s0)
+        ok &= (s >= s0 - s_slack) & (s <= s1 + s_slack)
+    return s.reshape(shape), r.reshape(shape), ok.reshape(shape)
+
+
 class RuledLiftPatch(GraphPatch):
     """Graph patch backed by Newton inversion of the planar footprint.
 
@@ -543,63 +580,20 @@ class RuledLiftPatch(GraphPatch):
         r_nodes = np.linspace(r0, r1, rn)
         S, R = np.meshgrid(s_nodes, r_nodes, indexing="ij")
         X, Y, _ = surface.param_F(S.ravel(), R.ravel(), check=False)
-        self._params = np.column_stack([S.ravel(), R.ravel()])
-        self._tree = cKDTree(np.column_stack([X, Y]))
-        self._tol = float(newton_tol)
-        self._max_iter = int(max_iter)
+        self._newton = newton = (
+            surface, cKDTree(np.column_stack([X, Y])),
+            np.column_stack([S.ravel(), R.ravel()]), float(newton_tol),
+            int(max_iter))
         if rect is None:
             rect = (X.min(), X.max(), Y.min(), Y.max())
-        super().__init__(rect, mask_fn=self._mask)
-
-    def _mask(self, x, y):
-        return self.invert(x, y)[2]
+        # the mask closes over the solver's data, not over the patch, so a
+        # dropped patch is freed at once instead of by the cycle collector
+        super().__init__(rect, mask_fn=lambda x, y: _invert_footprint(
+            *newton, x, y)[2])
 
     def invert(self, x, y):
         """Solve F(s, r) = (x, y); returns (s, r, converged)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        shape = np.broadcast(x, y).shape
-        xf = np.broadcast_to(x, shape).ravel().astype(float)
-        yf = np.broadcast_to(y, shape).ravel().astype(float)
-        surf = self.surface
-        s0, s1 = surf.seed.s_range
-        r0, r1 = surf.r_range
-        _, idx = self._tree.query(np.column_stack([xf, yf]))
-        s = self._params[idx, 0].copy()
-        r = self._params[idx, 1].copy()
-        cap_s = 0.5 * (s1 - s0)
-        cap_r = 0.5 * (r1 - r0)
-        for _ in range(self._max_iter):
-            f = surf._frame(surf.seed.wrap(s))
-            fx = f["x"] + r * f["y1"] - xf
-            fy = f["y"] - r * f["x1"] - yf
-            xs = f["x1"] + r * f["y2"]
-            xr = f["y1"]
-            ys = f["y1"] - r * f["x2"]
-            yr = -f["x1"]
-            det = xs * yr - xr * ys
-            with np.errstate(all="ignore"):
-                ds = (yr * fx - xr * fy) / det
-                dr = (-ys * fx + xs * fy) / det
-            bad = ~(np.isfinite(ds) & np.isfinite(dr))
-            ds[bad] = 0.0
-            dr[bad] = 0.0
-            np.clip(ds, -cap_s, cap_s, out=ds)
-            np.clip(dr, -cap_r, cap_r, out=dr)
-            s -= ds
-            r -= dr
-            if surf.seed.closed:
-                s = surf.seed.wrap(s)
-        f = surf._frame(surf.seed.wrap(s))
-        res = np.hypot(f["x"] + r * f["y1"] - xf, f["y"] - r * f["x1"] - yf)
-        scale = np.maximum(1.0, np.maximum(np.abs(xf), np.abs(yf)))
-        ok = np.isfinite(res) & (res <= self._tol * scale)
-        r_slack = 1e-9 * max(1.0, r1 - r0)
-        ok &= (r >= r0 - r_slack) & (r <= r1 + r_slack)
-        if not surf.seed.closed:
-            s_slack = 1e-9 * max(1.0, s1 - s0)
-            ok &= (s >= s0 - s_slack) & (s <= s1 + s_slack)
-        return s.reshape(shape), r.reshape(shape), ok.reshape(shape)
+        return _invert_footprint(*self._newton, x, y)
 
     def jet(self, x, y):
         s, r, ok = self.invert(x, y)

@@ -57,6 +57,24 @@ class TestExitCodes:
         assert rc == 2
         assert "unknown" in capsys.readouterr().err
 
+    def test_non_finite_verdict_field_is_an_internal_error(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(
+            cli._HANDLERS, "minimality",
+            lambda cfg, args, out: {"command": "minimality",
+                                    "residual": float("nan"),
+                                    "absent": None})
+        rc, verdict, out = run(tmp_path, "minimality", "patch_flat.json")
+        assert rc == 1
+        assert verdict is None
+        assert "verdict.residual" in capsys.readouterr().err
+
+    def test_non_finite_entry_of_a_list_is_named(self):
+        with pytest.raises(cli.VerdictError, match=r"verdict\.a\[1\]"):
+            cli._jsonable({"a": np.array([0.0, np.inf])})
+        assert cli._jsonable({"a": None, "b": [1.5]}) == {"a": None,
+                                                          "b": [1.5]}
+
     def test_missing_required_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"t_start": 0.0}))

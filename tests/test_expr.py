@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heisminimal import expr
+from heisminimal.dual import Jet1
 from heisminimal.expr import (
+    Bin,
+    Call,
     ExprDomainError,
     ExprNameError,
     ExprSyntaxError,
+    Neg,
+    Num,
+    Var,
     deriv,
     evaluate,
+    jet_kernel,
     parse,
     to_text,
 )
@@ -195,3 +204,210 @@ def test_deriv_with_jets_through_atan2():
     assert math.isclose(out.fy, 0.7 * 1.0 / rho2, rel_tol=1e-12)
     # Laplacian of atan2 vanishes
     assert abs(out.fxx + out.fyy) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Compiled jets against evaluation over Jet1
+
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0, -2.5, 1e-200, 1e300,
+           -1e300, 5e-324, math.pi, math.inf, -math.inf, math.nan]
+EXPONENTS = [0.0, 1.0, 2.0, 3.0, -1.0, -2.0, 0.5, -0.5, 2.5, 1.0 / 3.0,
+             129.0, math.nan, math.inf]
+
+
+def _jet_oracle(e, theta):
+    """(f, d1, d2, d3) of ``e`` evaluated over Jet1.variable(theta)."""
+    with np.errstate(all="ignore"):
+        out = evaluate(e, {"theta": Jet1.variable(theta)})
+    if isinstance(out, Jet1):
+        return out.f, out.d1, out.d2, out.d3
+    return out, 0.0, 0.0, 0.0
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except Exception as exc:  # compared by type and message
+        return None, exc
+
+
+def _bits(v, shape):
+    a = np.array(np.broadcast_to(np.asarray(v, dtype=float), shape))
+    return a.reshape(-1).view(np.uint64), np.isnan(a).reshape(-1)
+
+
+def assert_same_bits(got, want, shape):
+    """Bit for bit, signed zeros told apart, any NaN matching any NaN."""
+    assert np.shape(got) == shape
+    g, g_nan = _bits(got, shape)
+    w, w_nan = _bits(want, shape)
+    assert (g_nan == w_nan).all()
+    assert (g[~g_nan] == w[~w_nan]).all()
+
+
+def assert_kernel_matches_oracle(e, theta):
+    want, want_exc = _outcome(lambda: _jet_oracle(e, theta))
+    shape = np.shape(theta)
+    for order in range(4):
+        got, got_exc = _outcome(lambda: jet_kernel((e,), "theta", order)(theta))
+        if want_exc is not None:
+            assert type(got_exc) is type(want_exc), (order, got_exc, want_exc)
+            assert str(got_exc) == str(want_exc)
+            continue
+        assert got_exc is None, (order, got_exc)
+        (parts,) = got
+        assert len(parts) == order + 1
+        for p, w in zip(parts, want):
+            assert_same_bits(p, w, shape)
+
+
+def _exprs():
+    leaves = st.one_of(
+        st.just(Var("theta")),
+        st.sampled_from(SPECIAL).map(Num),
+        st.floats(-8, 8).map(Num),
+    )
+
+    def extend(kids):
+        return st.one_of(
+            kids.map(Neg),
+            st.builds(Bin, st.sampled_from("+-*/"), kids, kids),
+            st.builds(Bin, st.just("^"), kids,
+                      st.one_of(st.sampled_from(EXPONENTS).map(Num), kids)),
+            st.builds(lambda fn, a: Call(fn, (a,)),
+                      st.sampled_from(["sin", "cos", "tan", "atan", "exp",
+                                       "log", "sqrt", "abs", "sgn"]), kids),
+            st.builds(lambda a, b: Call("atan2", (a, b)), kids, kids),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+def _thetas():
+    values = st.one_of(st.sampled_from(SPECIAL), st.floats(-10, 10),
+                       st.floats(allow_nan=True, allow_infinity=True))
+    return st.one_of(
+        st.lists(values, min_size=1, max_size=6).map(np.array),
+        values.map(np.asarray),
+        values,
+        values.map(np.float64),
+    )
+
+
+@given(_exprs(), _thetas())
+@settings(max_examples=400, deadline=None)
+def test_kernel_matches_jet1_evaluation(e, theta):
+    assert_kernel_matches_oracle(e, theta)
+
+
+@pytest.mark.parametrize("src", [
+    "1 - cos(theta)", "theta", "0", "theta / 0",
+    "1/5 - 1/5*cos(theta) + sin(theta)^2",
+    "sin(4*sin(theta)*(1 - cos(theta)))", "2^theta", "theta^theta",
+    "(-2)^theta", "theta^0.5", "theta^-3", "log(theta) + sqrt(theta)",
+    "atan2(theta, 1)", "abs(theta) * sgn(theta) - tan(theta) / atan(theta)",
+    "exp(-theta^2) * e * pi",
+])
+def test_kernel_fixed_cases(src):
+    e = parse(src, ("theta",))
+    base = np.array([0.0, -0.0, 0.3, -1.2, 2.0, math.inf, math.nan, 1e300])
+    for theta in (base, np.asarray(-0.0), -0.0, 0.0, 0.7, np.float64(-1.2)):
+        assert_kernel_matches_oracle(e, theta)
+
+
+def test_constant_minus_jet_keeps_the_sign_of_zero():
+    # 1 - cos replays c - J as 0.0 - d1, which is +0.0 at theta = -0.0
+    # where plain negation of d1 would give -0.0
+    kernel = jet_kernel((parse("1 - cos(theta)", ("theta",)),), "theta", 1)
+    (_, d1), = kernel(np.array([-0.0]))
+    assert d1[0] == 0.0 and math.copysign(1.0, d1[0]) == 1.0
+
+
+def test_kernel_never_returns_the_callers_array():
+    theta = np.linspace(0.0, 1.0, 5)
+    for src in ("theta", "theta^1", "+theta"):
+        e = parse(src, ("theta",))
+        for order in range(4):
+            (parts,) = jet_kernel((e,), "theta", order)(theta)
+            assert not np.shares_memory(parts[0], theta)
+            for i, p in enumerate(parts):
+                assert all(not np.shares_memory(p, q) for q in parts[i + 1:])
+            parts[0][:] = -1.0
+    assert (theta == np.linspace(0.0, 1.0, 5)).all()
+
+
+def test_constant_expression_gives_fresh_arrays():
+    theta = np.linspace(0.0, 1.0, 4)
+    (parts,) = jet_kernel((parse("0", ("theta",)),), "theta", 3)(theta)
+    for p in parts:
+        assert p.shape == theta.shape and p.flags.writeable
+        assert (p == 0.0).all()
+    assert np.shape(jet_kernel((Num(2.5),), "theta", 0)(np.asarray(1.0))[0][0]) == ()
+
+
+def test_division_by_a_zero_constant_raises_at_every_order():
+    e = parse("theta / 0", ("theta",))
+    for order in range(4):
+        kernel = jet_kernel((e,), "theta", order)
+        with pytest.raises(ZeroDivisionError):
+            kernel(np.linspace(0.0, 1.0, 3))
+
+
+def test_domain_errors_match_evaluation():
+    cases = [("log(theta)", [0.5, 0.0]), ("sqrt(theta)", [1.0, -1.0]),
+             ("theta^0.5", [1.0, -1.0]), ("theta^theta", [1.0, 0.0]),
+             ("(-1)^theta", None)]
+    for src, values in cases:
+        e = parse(src, ("theta",))
+        theta = np.array(values if values else [1.0])
+        with pytest.raises(ExprDomainError) as oracle:
+            _jet_oracle(e, theta)
+        for order in range(4):
+            with pytest.raises(ExprDomainError) as got:
+                jet_kernel((e,), "theta", order)(theta)
+            assert str(got.value) == str(oracle.value)
+
+
+def test_truncated_kernels_skip_unread_parts():
+    e = parse("sin(theta)", ("theta",))
+    assert "np.cos" not in jet_kernel((e,), "theta", 0).source
+    assert "np.cos" in jet_kernel((e,), "theta", 1).source
+
+
+def test_kernel_cache_tells_signed_zero_constants_apart():
+    # Num(0.0) == Num(-0.0) as dataclasses; the cache keys on repr
+    theta = np.array([1.0])
+    pos = jet_kernel((Bin("*", Var("theta"), Num(0.0)),), "theta", 0)(theta)
+    neg = jet_kernel((Bin("*", Var("theta"), Num(-0.0)),), "theta", 0)(theta)
+    assert math.copysign(1.0, pos[0][0][0]) == 1.0
+    assert math.copysign(1.0, neg[0][0][0]) == -1.0
+
+
+def test_several_expressions_share_one_kernel():
+    es = tuple(parse(s, ("theta",)) for s in ("cos(theta)", "sin(theta)", "theta^2"))
+    theta = np.linspace(-1.0, 1.0, 7)
+    out = jet_kernel(es, "theta", 3)(theta)
+    assert len(out) == 3
+    for e, parts in zip(es, out):
+        for p, w in zip(parts, _jet_oracle(e, theta)):
+            assert_same_bits(p, w, theta.shape)
+    with pytest.raises(ValueError):
+        jet_kernel(es, "theta", 4)
+
+
+# ---------------------------------------------------------------------------
+# Guard: the univariate consumers run on compiled kernels only
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "heisminimal"
+
+
+@pytest.mark.parametrize("name", ["plateau.py", "ruled.py"])
+def test_consumers_do_not_use_jet1(name):
+    tree = ast.parse((SRC / name).read_text())
+    modules = [node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)]
+    assert "dual" not in modules
+    assert not [m for m in modules if m and m.endswith(".dual")]
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"_jet_parts", "_jet1_arrays"}

@@ -1,5 +1,7 @@
 """Seed curves, ruled lifts, characteristic radii, crossings, persistence."""
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -316,6 +318,18 @@ class TestRuledLiftPatch:
         # inside the bounding box but in the hole of the annulus
         assert not patch.contains(0.05, 0.0)
         assert patch.contains(1.0, 0.0)
+
+    def test_dropped_patch_is_freed_without_the_cycle_collector(self):
+        surf = circle_surface()
+        gc.disable()
+        try:
+            patch = RuledLiftPatch(surf, seed_grid=(24, 8))
+            assert patch.contains(1.0, 0.0)
+            ref = weakref.ref(patch)
+            del patch
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_inversion_roundtrip(self):
         surf = ellipse_arc_surface()
