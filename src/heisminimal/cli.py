@@ -436,7 +436,9 @@ def _cmd_assemble(cfg, args, out: Path) -> dict:
     curve = ClosedCurve.from_config(cfg["curve"])
     t_start = _number(cfg, "t_start", default=0.0)
     phi_start = _number(cfg, "phi_start")
-    force = bool(cfg.get("force", False))
+    force = cfg.get("force", False)
+    if not isinstance(force, bool):
+        raise ValueError(f"force must be true or false, got {force!r}")
     n_chords = _number(cfg, "n_chords", int, 128)
     if n_chords < 1:
         raise ValueError(f"n_chords must be at least 1, got {n_chords}")

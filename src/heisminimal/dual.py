@@ -3,12 +3,15 @@
 Two flavors cover everything downstream:
 
 * ``Jet1`` -- univariate, carries value and d/ds up to third order (seed
-  curves need three derivatives, boundary curves two).  ``expr.deriv``
-  runs on it; the curve and seed jets come from ``expr.jet_kernel``,
-  which replays these rules in compiled form and is tested against them.
+  curves need three derivatives, boundary curves two).
 * ``Jet2`` -- bivariate in (x, y), carries value, gradient, and Hessian.
 
-Coefficients may be Python floats or numpy arrays; all rules are plain
+This module holds the only copy of the jet rules.  ``expr.deriv``
+interprets them; ``expr.jet_kernel`` runs them once over symbolic
+coefficients and records what they do as straight-line numpy code.
+
+Coefficients may be Python floats, numpy arrays, or anything else that
+takes numpy's ufuncs and ``zeros_like``/``ones_like``; all rules are plain
 arithmetic, so grids evaluate in one vectorized pass.  Domain checking
 (log of a nonpositive value etc.) is the caller's job -- see expr.py.
 """
@@ -346,8 +349,8 @@ def _lift2(v):
 
 
 def _zeros_like(v):
-    return np.zeros_like(v) if isinstance(v, np.ndarray) else 0.0
+    return 0.0 if isinstance(v, (float, int, np.generic)) else np.zeros_like(v)
 
 
 def _ones_like(v):
-    return np.ones_like(v) if isinstance(v, np.ndarray) else 1.0
+    return 1.0 if isinstance(v, (float, int, np.generic)) else np.ones_like(v)

@@ -6,17 +6,19 @@ associative and binding tightest, then unary minus, then ``* /``, then
 abs, sgn}, and the constants pi and e.
 
 Evaluation is generic over the value type: plain floats, numpy arrays, or
-the jets from dual.py.  Bivariate derivatives come from evaluating over
-``Jet2``; univariate ones from ``jet_kernel``, which compiles expressions
-once into straight-line numpy code replaying the ``Jet1`` rules (no
-finite differences on either path).
+the jets from dual.py.  Derivatives for the hot paths come from
+``jet_kernel``, which traces that evaluation over ``Jet1`` (one variable,
+orders 0-3) or ``Jet2`` (a pair, orders 0-2) once and compiles what the
+jet rules do into straight-line numpy code; ``deriv`` evaluates over
+``Jet1`` directly.  No finite differences on either path.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.mixins import NDArrayOperatorsMixin
 
 from .dual import (Jet1, Jet2, _ones_like, _power, _zeros_like,
                    atan2_jet1, atan2_jet2)
@@ -263,23 +265,30 @@ def _value_part(v):
     return v.f if isinstance(v, (Jet1, Jet2)) else v
 
 
+def _domain(value, op, message):
+    """Raise unless every ``value`` passes; a kernel line when symbolic."""
+    if isinstance(value, _Sym):
+        value.tape.guard(value, op, message)
+    elif np.any(np.asarray(value) <= 0.0 if op == "<="
+                else np.asarray(value) < 0.0):
+        raise ExprDomainError(message)
+
+
 def _pow_value(base, exponent):
     if isinstance(exponent, (Jet1, Jet2)):
         # Variable exponent: b^c = exp(c log b), requires positive base.
-        bval = _value_part(base)
-        if np.any(np.asarray(bval) <= 0.0):
-            raise ExprDomainError("power with variable exponent needs positive base")
+        _domain(_value_part(base), "<=",
+                "power with variable exponent needs positive base")
         if not isinstance(base, (Jet1, Jet2)):
             base = type(exponent).constant(base)
         return (exponent * base.log()).exp()
     c = float(exponent)
-    non_integer = c != int(c)
-    bval = np.asarray(_value_part(base))
-    if non_integer and np.any(bval < 0.0):
-        raise ExprDomainError("negative base with non-integer exponent")
+    if c != int(c):
+        _domain(_value_part(base), "<",
+                "negative base with non-integer exponent")
     if isinstance(base, (Jet1, Jet2)):
         return _power(base, c)
-    return np.power(base, c) if isinstance(base, np.ndarray) else float(np.power(bval, c))
+    return np.power(base, c) if isinstance(base, np.ndarray) else float(np.power(base, c))
 
 
 def _apply_function(name: str, args):
@@ -296,11 +305,10 @@ def _apply_function(name: str, args):
         out = np.arctan2(y, x)
         return out if isinstance(out, np.ndarray) else float(out)
     (v,) = args
-    val = np.asarray(_value_part(v))
-    if name == "log" and np.any(val <= 0.0):
-        raise ExprDomainError("log of nonpositive value")
-    if name == "sqrt" and np.any(val < 0.0):
-        raise ExprDomainError("sqrt of negative value")
+    if name == "log":
+        _domain(_value_part(v), "<=", "log of nonpositive value")
+    if name == "sqrt":
+        _domain(_value_part(v), "<", "sqrt of negative value")
     if isinstance(v, (Jet1, Jet2)):
         return getattr(v, _JET_METHOD[name])()
     fn = _NUMERIC_FN[name]
@@ -337,60 +345,53 @@ def deriv(e: Expr, var: str, order: int, bindings: dict):
 
 
 # ---------------------------------------------------------------------------
-# Compiled univariate jets
+# Compiled jets
 #
-# ``jet_kernel`` compiles expressions in one variable into a straight-line
-# numpy function.  The compiler walks the tree the way ``evaluate`` does
-# over ``Jet1.variable`` and applies the Jet1 rules of dual.py to symbolic
-# parts, one operation at a time and with the same operand order, so the
-# kernel's parts are bit-identical to that evaluation and it raises where
-# that evaluation raises.  Work on constants (``evaluate`` on
-# variable-free subtrees, the rules applied to lifted constants) runs once
-# at compile time.  Parts above the requested order are dropped as dead
-# code, which is exact because the rule for order j reads only orders <= j.
+# ``jet_kernel`` compiles expressions into a straight-line numpy function
+# by tracing: it runs ``evaluate`` once over ``Jet1.variable(x)`` or
+# ``Jet2.variables(x, y)`` whose coefficients are ``_Sym`` placeholders,
+# so the jet rules of dual.py run unchanged and each operation they do on
+# a placeholder becomes one line of the kernel, with the same operands in
+# the same order.  The kernel's parts are therefore bit-identical to that
+# evaluation, and it raises where that evaluation raises.  Work on
+# constants (variable-free subtrees, lifted constants) runs once at
+# compile time.  Parts above the requested order are dropped as dead
+# code, which is exact because the rule for an order reads only lower
+# or equal orders.
+
+_TAPE_OPS = {np.add: "{} + {}", np.subtract: "{} - {}",
+             np.multiply: "{} * {}", np.true_divide: "{} / {}",
+             np.negative: "-{}"}
+_LIKE = {np.zeros_like: "zeros_like", np.ones_like: "ones_like"}
 
 
-class _Sym:
+class _Sym(NDArrayOperatorsMixin):
     """A local of the kernel being compiled, known only when it runs.
 
-    ``plain`` marks a value that may be a Python scalar at run time (the
-    variable and what arithmetic alone makes of it): division between
-    two such values raises on zero, so it is kept at every order.
+    Python operators and numpy ufuncs on it record a line on its tape.
+    ``plain`` marks a value that may be a Python scalar at run time (a
+    variable and what arithmetic and ``zeros_like``/``ones_like`` make of
+    it): division between two such values raises on zero, so it is kept
+    at every order.
     """
 
     __slots__ = ("tape", "name", "plain")
 
-    __array_ufunc__ = None  # numpy scalars defer to the reflected method
-
     def __init__(self, tape, name, plain):
         self.tape, self.name, self.plain = tape, name, plain
 
-    def __add__(self, o):
-        return self.tape.op("{} + {}", self, o)
+    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        fmt = _TAPE_OPS.get(ufunc)
+        if fmt is not None:
+            return self.tape.op(fmt, *args)
+        return self.tape.call(f"np.{ufunc.__name__}", args, plain=False)
 
-    def __radd__(self, o):
-        return self.tape.op("{} + {}", o, self)
-
-    def __sub__(self, o):
-        return self.tape.op("{} - {}", self, o)
-
-    def __rsub__(self, o):
-        return self.tape.op("{} - {}", o, self)
-
-    def __mul__(self, o):
-        return self.tape.op("{} * {}", self, o)
-
-    def __rmul__(self, o):
-        return self.tape.op("{} * {}", o, self)
-
-    def __truediv__(self, o):
-        return self.tape.op("{} / {}", self, o)
-
-    def __rtruediv__(self, o):
-        return self.tape.op("{} / {}", o, self)
-
-    def __neg__(self):
-        return self.tape.op("-{}", self)
+    def __array_function__(self, func, types, args, kwargs):
+        if func not in _LIKE or kwargs:
+            return NotImplemented
+        return self.tape.call(_LIKE[func], args, plain=True)
 
 
 class _Tape:
@@ -400,12 +401,12 @@ class _Tape:
     repeat gives the same bits.
     """
 
-    def __init__(self):
+    def __init__(self, names):
         self.lines = []  # (target, text, deps, kept at every order)
         self.consts = {}
         self.shared = {}
-        self.x = _Sym(self, "x", True)
-        self.one = None  # the variable's first derivative, once made
+        self.vars = tuple(_Sym(self, name, True) for name in names)
+        self.ones = ()  # each variable's own unit derivative, once made
 
     def ref(self, v):
         if isinstance(v, _Sym):
@@ -426,11 +427,19 @@ class _Tape:
         self.shared[text] = out = _Sym(self, name, plain)
         return out
 
+    def call(self, fn, args, plain):
+        return self.emit(f"{fn}({', '.join(map(self.ref, args))})", args,
+                         plain)
+
+    def unit(self, v):
+        return any(v is one for one in self.ones)
+
     def op(self, fmt, *args):
-        if fmt == "{} * {}" and any(a is self.one for a in args):
+        if fmt == "{} * {}" and any(map(self.unit, args)):
             # v * 1 is v bit for bit, and a value that is surely numpy
-            # keeps its type, so the product by the variable's d1 is left out
-            other = args[0] if args[1] is self.one else args[1]
+            # keeps its type, so the product by a variable's own unit
+            # derivative is left out
+            other = args[1] if self.unit(args[0]) else args[0]
             if isinstance(other, _Sym) and not other.plain:
                 return other
         plain = all(a.plain if isinstance(a, _Sym)
@@ -454,13 +463,13 @@ class _Tape:
         self.lines.append((None, f"raise {name}.with_traceback(None)", [],
                            True))
 
-    def source(self, outputs, order):
-        """Kernel text returning each output's parts up to ``order``."""
-        seen = {self.x.name}
+    def source(self, outputs, count):
+        """Kernel text returning each output's first ``count`` parts."""
+        seen = {v.name for v in self.vars}
         groups = []
         for parts in outputs or ():
             names = []
-            for p in parts[:order + 1]:
+            for p in parts[:count]:
                 if not isinstance(p, _Sym):
                     p = self.fresh(f"np.full(np.shape(x), {self.ref(p)}, "
                                    "dtype=float)", [])
@@ -473,242 +482,21 @@ class _Tape:
         body = []
         for target, text, deps, kept in reversed(self.lines):
             if kept or target in needed:
+                # walking backwards, a local not yet needed is read here
+                # for the last time: free it, so that only live locals
+                # hold grid-sized arrays
+                dead = sorted({target, *deps} - needed - {None})
+                if dead:
+                    body.append(f"del {', '.join(dead)}")
                 body.append(text)
                 needed.update(deps)
         body.reverse()
         if outputs is not None:
             body.append(f"return ({', '.join(groups)},)")
-        return "\n".join(["def kernel(x):",
+        args = ", ".join(v.name for v in self.vars)
+        return "\n".join([f"def kernel({args}):",
                           "    with np.errstate(all='ignore'):"]
                          + [f"        {line}" for line in body]) + "\n"
-
-
-def _np(fn, *args):
-    """numpy function ``fn`` now on constants, else a line of the kernel."""
-    syms = [a for a in args if isinstance(a, _Sym)]
-    if not syms:
-        func = _KERNEL_NS.get(fn) or getattr(np, fn.removeprefix("np."))
-        return func(*args)
-    tape = syms[0].tape
-    return tape.emit(f"{fn}({', '.join(map(tape.ref, args))})", args,
-                     plain=fn in ("ones_like", "zeros_like"))
-
-
-def _domain(value, op, message):
-    """The value checks of ``_pow_value`` and ``_apply_function``."""
-    if isinstance(value, _Sym):
-        value.tape.guard(value, op, message)
-    elif np.any(np.asarray(value) <= 0.0 if op == "<="
-                else np.asarray(value) < 0.0):
-        raise ExprDomainError(message)
-
-
-# The Jet1 rules over (f, d1, d2, d3) tuples of constants and _Syms; each
-# keeps the expression text of its counterpart in dual.py.
-
-def _k_lift(c):
-    z = _zeros_like(c)
-    return (c, z, z, z)
-
-
-def _k_add(a, b):
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
-
-
-def _k_sub(a, b):
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
-
-
-def _k_neg(a):
-    return (-a[0], -a[1], -a[2], -a[3])
-
-
-def _k_mul(a, b):
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (
-        a0 * b0,
-        a1 * b0 + a0 * b1,
-        a2 * b0 + 2.0 * a1 * b1 + a0 * b2,
-        a3 * b0 + 3.0 * a2 * b1 + 3.0 * a1 * b2 + a0 * b3,
-    )
-
-
-def _k_reciprocal(b):
-    b0, b1, b2, b3 = b
-    inv = 1.0 / b0
-    inv2 = inv * inv
-    return (
-        inv,
-        -b1 * inv2,
-        (2.0 * b1 * b1 - b0 * b2) * inv2 * inv,
-        (-b3 * b0 * b0 + 6.0 * b0 * b1 * b2 - 6.0 * b1 * b1 * b1) * inv2 * inv2,
-    )
-
-
-def _k_compose(a, g0, g1, g2, g3):
-    _, u1, u2, u3 = a
-    return (
-        g0,
-        g1 * u1,
-        g2 * u1 * u1 + g1 * u2,
-        g3 * u1 * u1 * u1 + 3.0 * g2 * u1 * u2 + g1 * u3,
-    )
-
-
-def _k_sin(a):
-    s, c = _np("np.sin", a[0]), _np("np.cos", a[0])
-    return _k_compose(a, s, c, -s, -c)
-
-
-def _k_cos(a):
-    s, c = _np("np.sin", a[0]), _np("np.cos", a[0])
-    return _k_compose(a, c, -s, -c, s)
-
-
-def _k_tan(a):
-    t = _np("np.tan", a[0])
-    sec2 = 1.0 + t * t
-    return _k_compose(a, t, sec2, 2.0 * t * sec2, sec2 * (2.0 + 6.0 * t * t))
-
-
-def _k_exp(a):
-    e = _np("np.exp", a[0])
-    return _k_compose(a, e, e, e, e)
-
-
-def _k_log(a):
-    u = a[0]
-    return _k_compose(a, _np("np.log", u), 1.0 / u, -1.0 / (u * u),
-                      2.0 / (u * u * u))
-
-
-def _k_sqrt(a):
-    r = _np("np.sqrt", a[0])
-    return _k_compose(a, r, 0.5 / r, -0.25 / (r * a[0]),
-                      0.375 / (r * a[0] * a[0]))
-
-
-def _k_atan(a):
-    u = a[0]
-    d = 1.0 / (1.0 + u * u)
-    return _k_compose(a, _np("np.arctan", u), d, -2.0 * u * d * d,
-                      (6.0 * u * u - 2.0) * d * d * d)
-
-
-def _k_abs(a):
-    s = _np("np.sign", a[0])
-    z = _np("zeros_like", a[0])
-    return _k_compose(a, _np("np.abs", a[0]), s, z, z)
-
-
-def _k_sgn(a):
-    z = _np("zeros_like", a[0])
-    return (_np("np.sign", a[0]), z, z, z)
-
-
-def _k_atan2(y, x):
-    u0, u1, u2, u3 = x
-    v0, v1, v2, v3 = y
-    c0 = u0 * v1 - v0 * u1
-    c1 = u0 * v2 - v0 * u2
-    c2 = u0 * v3 - v0 * u3 + u1 * v2 - v1 * u2
-    r0 = u0 * u0 + v0 * v0
-    r1 = 2.0 * (u0 * u1 + v0 * v1)
-    r2 = 2.0 * (u1 * u1 + u0 * u2 + v1 * v1 + v0 * v2)
-    inv = 1.0 / r0
-    inv2 = inv * inv
-    return (
-        _np("np.arctan2", v0, u0),
-        c0 * inv,
-        (c1 * r0 - c0 * r1) * inv2,
-        c2 * inv - (2.0 * c1 * r1 + c0 * r2) * inv2 + 2.0 * c0 * r1 * r1 * inv2 * inv,
-    )
-
-
-def _k_power(a, c):
-    """``dual._power``: a jet to a constant power."""
-    cf = float(c)
-    if cf == int(cf) and abs(cf) <= 128:
-        n = int(cf)
-        if n == 0:
-            one = _np("ones_like", a[0])
-            z = _np("zeros_like", one)
-            return (one, z, z, z)
-        inverted = n < 0
-        n = abs(n)
-        out = a
-        for _ in range(n - 1):
-            out = _k_mul(out, a)
-        return _k_reciprocal(out) if inverted else out
-    u = a[0]
-    g0 = _np("np.power", u, cf)
-    g1 = cf * _np("np.power", u, cf - 1.0)
-    g2 = cf * (cf - 1.0) * _np("np.power", u, cf - 2.0)
-    g3 = cf * (cf - 1.0) * (cf - 2.0) * _np("np.power", u, cf - 3.0)
-    return _k_compose(a, g0, g1, g2, g3)
-
-
-def _k_pow(base, exponent):
-    """``_pow_value`` with at least one side a jet."""
-    if isinstance(exponent, tuple):
-        bval = base[0] if isinstance(base, tuple) else base
-        _domain(bval, "<=", "power with variable exponent needs positive base")
-        if not isinstance(base, tuple):
-            base = _k_lift(base)
-        return _k_exp(_k_mul(exponent, _k_log(base)))
-    c = float(exponent)
-    if c != int(c):
-        _domain(base[0], "<", "negative base with non-integer exponent")
-    return _k_power(base, c)
-
-
-_K_UNARY = {"sin": _k_sin, "cos": _k_cos, "tan": _k_tan, "atan": _k_atan,
-            "exp": _k_exp, "log": _k_log, "sqrt": _k_sqrt, "abs": _k_abs,
-            "sgn": _k_sgn}
-
-
-def _k_node(e: Expr, var: str, var_jet):
-    """A constant, or the (f, d1, d2, d3) parts of ``e``."""
-    if isinstance(e, Var) and e.name == var:
-        return var_jet
-    if isinstance(e, Neg):
-        kids = (e.arg,)
-    elif isinstance(e, Bin):
-        kids = (e.lhs, e.rhs)
-    else:
-        kids = e.args if isinstance(e, Call) else ()
-    vals = [_k_node(k, var, var_jet) for k in kids]
-    if not any(isinstance(v, tuple) for v in vals):
-        return evaluate(e, {})
-    if isinstance(e, Neg):
-        return _k_neg(vals[0])
-    if isinstance(e, Call):
-        if e.fn == "atan2":
-            y, x = (v if isinstance(v, tuple) else _k_lift(v) for v in vals)
-            return _k_atan2(y, x)
-        (v,) = vals
-        if e.fn == "log":
-            _domain(v[0], "<=", "log of nonpositive value")
-        if e.fn == "sqrt":
-            _domain(v[0], "<", "sqrt of negative value")
-        return _K_UNARY[e.fn](v)
-    lhs, rhs = vals
-    if e.op == "^":
-        return _k_pow(lhs, rhs)
-    if not isinstance(lhs, tuple):
-        # c + J and c * J go to J's reflected method, which keeps the jet
-        # as the left operand; c - J and c / J lift the constant instead
-        lhs, rhs = (rhs, lhs) if e.op in "+*" else (_k_lift(lhs), rhs)
-    if not isinstance(rhs, tuple):
-        rhs = _k_lift(rhs)
-    if e.op == "+":
-        return _k_add(lhs, rhs)
-    if e.op == "-":
-        return _k_sub(lhs, rhs)
-    if e.op == "*":
-        return _k_mul(lhs, rhs)
-    return _k_mul(lhs, _k_reciprocal(rhs))
 
 
 _KERNEL_NS = {"np": np, "ones_like": _ones_like, "zeros_like": _zeros_like,
@@ -717,21 +505,28 @@ _KERNELS: dict = {}
 _KERNEL_CACHE_SIZE = 256
 
 
-def _compile_jets(exprs: tuple, var: str, order: int):
-    tape = _Tape()
-    tape.one = _np("ones_like", tape.x)
-    zero = _np("zeros_like", tape.x)
-    var_jet = (tape.x, tape.one, zero, zero)
+def _compile_jets(exprs: tuple, var, order: int):
+    if isinstance(var, str):
+        tape = _Tape(("x",))
+        x = Jet1.variable(*tape.vars)
+        env, tape.ones, count = {var: x}, (x.d1,), order + 1
+    else:
+        tape = _Tape(("x", "y"))
+        x, y = Jet2.variables(*tape.vars)
+        env, tape.ones = dict(zip(var, (x, y))), (x.fx, y.fy)
+        count = (1, 3, 6)[order]
     outputs = []
     try:
         with np.errstate(all="ignore"):
             for e in exprs:
-                v = _k_node(e, var, var_jet)
-                outputs.append(v if isinstance(v, tuple) else (v, 0.0, 0.0, 0.0))
+                v = evaluate(e, env)
+                outputs.append([getattr(v, f.name) for f in fields(v)]
+                               if isinstance(v, (Jet1, Jet2))
+                               else [v] + [0.0] * (count - 1))
     except (ArithmeticError, ValueError) as exc:
         tape.fail(exc)  # raised on every input, after the checks before it
         outputs = None
-    text = tape.source(outputs, order)
+    text = tape.source(outputs, count)
     ns = dict(_KERNEL_NS, **dict(tape.consts.values()))
     exec(compile(text, f"<jet kernel, order {order}>", "exec"), ns)
     kernel = ns["kernel"]
@@ -739,22 +534,27 @@ def _compile_jets(exprs: tuple, var: str, order: int):
     return kernel
 
 
-def jet_kernel(exprs, var: str, order: int):
-    """Compiled jets of expressions in the one variable ``var``.
+def jet_kernel(exprs, var, order: int):
+    """Compiled jets of expressions in ``var``, one name or a pair.
 
-    Returns ``kernel(x)``, which gives for each expression the tuple
-    (value, d1, ..., d_order).  Each part is bit-identical to evaluating
-    the expression over ``Jet1.variable(x)`` under
-    ``np.errstate(all="ignore")``, and the kernel raises where that
-    evaluation raises.  Parts are shaped like ``x``, new for every call
-    (a constant expression gives filled arrays, zero derivatives) and
-    never the caller's array.  Kernels are compiled on first request
-    and cached on ``(repr(exprs), var, order)``.
+    For one name, returns ``kernel(x)``, which gives for each expression
+    the tuple (value, d1, ..., d_order), order 0 to 3; each part is
+    bit-identical to evaluating the expression over ``Jet1.variable(x)``.
+    For a pair of names, returns ``kernel(x, y)`` for x and y of one
+    shape, which gives the first 1, 3 or 6 of (f, fx, fy, fxx, fxy, fyy)
+    at order 0, 1 or 2, each bit-identical to evaluating over
+    ``Jet2.variables(x, y)``.  Both under ``np.errstate(all="ignore")``,
+    and the kernel raises where that evaluation raises.  Parts are shaped
+    like ``x``, new for every call (a constant expression gives filled
+    arrays, zero derivatives) and never the caller's array.  Kernels are
+    compiled on first request and cached on ``(repr(exprs), var, order)``.
     """
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be 0, 1, 2 or 3, got {order}")
+    pair = not isinstance(var, str)
+    if order not in ((0, 1, 2) if pair else (0, 1, 2, 3)):
+        raise ValueError(f"order must be 0 to {2 if pair else 3} for "
+                         f"{var!r}, got {order}")
     exprs = tuple(exprs)
-    key = (repr(exprs), var, order)
+    key = (repr(exprs), tuple(var) if pair else var, order)
     kernel = _KERNELS.get(key)
     if kernel is None:
         kernel = _compile_jets(exprs, var, order)

@@ -8,14 +8,14 @@ checks for piecewise gluings.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
-from .dual import Jet2
-from .expr import Expr, evaluate, parse, to_text
+from .expr import Expr, evaluate, jet_kernel, parse, to_text
 from .geom import cluster_points
 from .quadrature import gauss_legendre, integrate_rect, integrate_two_sided
 
@@ -94,32 +94,27 @@ class ExprPatch(GraphPatch):
         if isinstance(u, str):
             u = parse(u, ("x", "y"))
         self.u_expr: Expr = u
+        self._kernel = jet_kernel((u,), ("x", "y"), 2)
         self.mask_expr = None
         mask_fn = mask
         if isinstance(mask, str):
             mask = parse(mask, ("x", "y"))
         if isinstance(mask, Expr):
             self.mask_expr = mask
-            mask_fn = lambda x, y: np.asarray(
-                evaluate(mask, {"x": x, "y": y})) >= 0.0
+            mask_fn = _expr_mask(mask)
         super().__init__(rect, mask_fn)
 
     def jet(self, x, y):
         # The expression must be evaluable on the whole bounding
         # rectangle; the mask only controls domain membership.  Isolated
         # singular points (a masked-out pole, say) yield quiet NaNs.
-        x, y = _arrays(x, y)
-        jx, jy = Jet2.variables(x, y)
-        with np.errstate(all="ignore"):
-            out = evaluate(self.u_expr, {"x": jx, "y": jy})
-        if not isinstance(out, Jet2):
-            val = np.broadcast_to(np.asarray(out, dtype=float), x.shape)
-            zero = np.zeros_like(x)
-            return val, zero, zero, zero.copy(), zero.copy(), zero.copy()
-        def full(v):
-            return np.broadcast_to(np.asarray(v, dtype=float), x.shape)
-        return (full(out.f), full(out.fx), full(out.fy),
-                full(out.fxx), full(out.fxy), full(out.fyy))
+        (parts,) = self._kernel(*_arrays(x, y))
+        return parts
+
+
+def _expr_mask(mask: Expr):
+    """Keep-array callable: the points where ``mask`` is >= 0."""
+    return lambda x, y: np.asarray(evaluate(mask, {"x": x, "y": y})) >= 0.0
 
 
 class SampledPatch(GraphPatch):
@@ -179,9 +174,7 @@ def patch_from_config(cfg: dict) -> GraphPatch:
             raise ValueError(f"unknown sample keys: {sorted(unknown)}")
         mask_fn = None
         if isinstance(mask, str):
-            m = parse(mask, ("x", "y"))
-            mask_fn = lambda x, y: np.asarray(
-                evaluate(m, {"x": x, "y": y})) >= 0.0
+            mask_fn = _expr_mask(parse(mask, ("x", "y")))
         return SampledPatch(u["xs"], u["ys"], u["values"], mask_fn=mask_fn)
     raise ValueError("u must be an expression string or a sample table")
 
@@ -695,11 +688,19 @@ class InterfaceCurve:
         for key in ("x", "y", "tau_range"):
             if key not in cfg:
                 raise ValueError(f"interface config missing '{key}'")
-        a, b = cfg["tau_range"]
+        tau_range = cfg["tau_range"]
+        if not (isinstance(tau_range, (list, tuple)) and len(tau_range) == 2
+                and all(type(v) in (int, float)
+                        and abs(v) <= sys.float_info.max for v in tau_range)):
+            raise ValueError("interface.tau_range must be a pair of finite "
+                             f"numbers, got {tau_range!r}")
+        flip = cfg.get("flip_normal", False)
+        if not isinstance(flip, bool):
+            raise ValueError("interface.flip_normal must be true or false, "
+                             f"got {flip!r}")
         return InterfaceCurve(parse(cfg["x"], ("tau",)),
                               parse(cfg["y"], ("tau",)),
-                              (float(a), float(b)),
-                              bool(cfg.get("flip_normal", False)))
+                              tuple(float(v) for v in tau_range), flip)
 
     def point(self, tau):
         env = {"tau": np.asarray(tau, dtype=float)}
@@ -709,10 +710,10 @@ class InterfaceCurve:
                 + 0.0 * env["tau"])
 
     def tangent(self, tau):
-        from .expr import deriv
         tau = np.asarray(tau, dtype=float)
-        dx = deriv(self.x_expr, "tau", 1, {"tau": tau}) + 0.0 * tau
-        dy = deriv(self.y_expr, "tau", 1, {"tau": tau}) + 0.0 * tau
+        kernel = jet_kernel((self.x_expr, self.y_expr), "tau", 1)
+        (_, dx), (_, dy) = kernel(tau)
+        dx, dy = dx + 0.0 * tau, dy + 0.0 * tau  # -0.0 reads +0.0
         speed = np.hypot(dx, dy)
         if np.any(speed <= 1e-12):
             raise ValueError("interface curve has a vanishing tangent")

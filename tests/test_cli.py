@@ -131,6 +131,9 @@ class TestExitCodes:
          "mesh.s_n"),
         ("build-ruled", "ruled_circle.json", {"mesh": {"r_n": "abc"}},
          "mesh.r_n"),
+        ("glue-check", "glue_example.json",
+         {"interface": {"x": "tau", "y": "0", "tau_range": ["abc", 2.0]}},
+         "interface.tau_range"),
     ])
     def test_non_numeric_value_names_the_field(self, tmp_path, capsys,
                                                command, fixture, changes,
@@ -141,6 +144,26 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert field in err and "'abc'" in err
+
+    def test_string_force_names_the_field(self, tmp_path, capsys):
+        # "no" is truthy: read as a flag it would assemble past the
+        # obstruction of bad_curve
+        cfg = self._fixture_with(tmp_path, "bad_curve.json", force="no")
+        rc = cli.main(["assemble", "--input", str(cfg),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "force" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "verdict.json").exists()
+
+    def test_string_flip_normal_names_the_field(self, tmp_path, capsys):
+        cfg = json.loads((FIXTURES / "glue_example.json").read_text())
+        cfg["interface"]["flip_normal"] = "false"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = cli.main(["glue-check", "--input", str(path),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "interface.flip_normal" in capsys.readouterr().err
 
     def test_success_is_zero_even_for_negative_verdicts(self, tmp_path):
         # an obstruction is a finding, not a failure

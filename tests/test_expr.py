@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heisminimal import expr
-from heisminimal.dual import Jet1
+from heisminimal.dual import Jet1, Jet2
 from heisminimal.expr import (
     Bin,
     Call,
@@ -245,25 +246,30 @@ def assert_same_bits(got, want, shape):
     assert (g[~g_nan] == w[~w_nan]).all()
 
 
-def assert_kernel_matches_oracle(e, theta):
-    want, want_exc = _outcome(lambda: _jet_oracle(e, theta))
-    shape = np.shape(theta)
-    for order in range(4):
-        got, got_exc = _outcome(lambda: jet_kernel((e,), "theta", order)(theta))
+def _assert_kernels_match(oracle, var, counts, e, *point):
+    """At each order, the kernel's parts (or exception) are the oracle's."""
+    want, want_exc = _outcome(lambda: oracle(e, *point))
+    shape = np.shape(point[0])
+    for order, count in enumerate(counts):
+        got, got_exc = _outcome(lambda: jet_kernel((e,), var, order)(*point))
         if want_exc is not None:
             assert type(got_exc) is type(want_exc), (order, got_exc, want_exc)
             assert str(got_exc) == str(want_exc)
             continue
         assert got_exc is None, (order, got_exc)
         (parts,) = got
-        assert len(parts) == order + 1
+        assert len(parts) == count
         for p, w in zip(parts, want):
             assert_same_bits(p, w, shape)
 
 
-def _exprs():
+def assert_kernel_matches_oracle(e, theta):
+    _assert_kernels_match(_jet_oracle, "theta", (1, 2, 3, 4), e, theta)
+
+
+def _exprs(variables=("theta",)):
     leaves = st.one_of(
-        st.just(Var("theta")),
+        st.sampled_from([Var(name) for name in variables]),
         st.sampled_from(SPECIAL).map(Num),
         st.floats(-8, 8).map(Num),
     )
@@ -396,12 +402,91 @@ def test_several_expressions_share_one_kernel():
 
 
 # ---------------------------------------------------------------------------
-# Guard: the univariate consumers run on compiled kernels only
+# Compiled bivariate jets against evaluation over Jet2
+
+def _jet2_oracle(e, x, y):
+    """(f, fx, fy, fxx, fxy, fyy) of ``e`` over Jet2.variables(x, y)."""
+    with np.errstate(all="ignore"):
+        out = evaluate(e, dict(zip("xy", Jet2.variables(x, y))))
+    if isinstance(out, Jet2):
+        return out.f, out.fx, out.fy, out.fxx, out.fxy, out.fyy
+    return out, 0.0, 0.0, 0.0, 0.0, 0.0
+
+
+def assert_kernel2_matches_oracle(e, x, y):
+    _assert_kernels_match(_jet2_oracle, ("x", "y"), (1, 3, 6), e, x, y)
+
+
+def _points():
+    """(x, y) of one kind and shape: arrays, 0-d arrays or scalars."""
+    values = st.one_of(st.sampled_from(SPECIAL), st.floats(-10, 10),
+                       st.floats(allow_nan=True, allow_infinity=True))
+    arrays = st.integers(1, 6).flatmap(lambda n: st.tuples(
+        *[st.lists(values, min_size=n, max_size=n).map(np.array)] * 2))
+    return st.one_of(
+        arrays,
+        st.tuples(values.map(np.asarray), values.map(np.asarray)),
+        st.tuples(values, values),
+        st.tuples(values.map(np.float64), values.map(np.float64)),
+    )
+
+
+@given(_exprs(("x", "y")), _points())
+@settings(max_examples=400, deadline=None)
+def test_kernel_matches_jet2_evaluation(e, point):
+    assert_kernel2_matches_oracle(e, *point)
+
+
+@pytest.mark.parametrize("src", [
+    "0", "x", "y", "x*y/2", "-x*y/2", "0.7*atan2(y, x) + 0.1", "x / 0",
+    "x^2 - y^2", "y^x", "(x - y)^0.5", "log(x*y) + sqrt(y)",
+    "1/(x^0 - 1)", "abs(x)*sgn(y) - tan(x)/atan(y)", "exp(-x^2 - y^2)",
+])
+def test_kernel2_fixed_cases(src):
+    e = parse(src, ("x", "y"))
+    xs = np.array([0.0, -0.0, 0.3, -1.2, 2.0, math.inf, math.nan, 1e300])
+    for x, y in ((xs, xs[::-1].copy()), (np.asarray(-0.0), np.asarray(0.0)),
+                 (0.0, -0.0), (0.7, 0.0), (np.float64(-1.2), np.float64(2.0))):
+        assert_kernel2_matches_oracle(e, x, y)
+
+
+def test_kernel2_binds_names_in_the_order_given():
+    e = parse("x^3*y + sin(y)", ("x", "y"))
+    x, y = np.linspace(-1.0, 1.0, 5), np.linspace(0.5, 2.0, 5)
+    (swapped,) = jet_kernel((e,), ("y", "x"), 1)(y, x)
+    (f, fx, fy), = jet_kernel((e,), ("x", "y"), 1)(x, y)
+    assert_same_bits(swapped[0], f, x.shape)
+    assert_same_bits(swapped[1], fy, x.shape)
+    assert_same_bits(swapped[2], fx, x.shape)
+    with pytest.raises(ValueError):
+        jet_kernel((e,), ("x", "y"), 3)
+
+
+def test_kernel_frees_locals_after_their_last_read():
+    # holding every local until the return would need several times the
+    # memory of evaluating the tree over Jet2
+    e = parse("0.7*atan2(y, x) + 0.1*x^2*y", ("x", "y"))
+    x, y = np.meshgrid(np.linspace(0.1, 1.0, 100), np.linspace(0.1, 1.0, 100))
+    kernel = jet_kernel((e,), ("x", "y"), 2)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: kernel(x, y)) <= 1.5 * peak(lambda: _jet2_oracle(e, x, y))
+
+
+# ---------------------------------------------------------------------------
+# Guard: the consumers run on compiled kernels only
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "heisminimal"
 
 
-@pytest.mark.parametrize("name", ["plateau.py", "ruled.py"])
+@pytest.mark.parametrize("name", ["plateau.py", "ruled.py", "graph.py"])
 def test_consumers_do_not_use_jet1(name):
     tree = ast.parse((SRC / name).read_text())
     modules = [node.module for node in ast.walk(tree)
@@ -411,3 +496,14 @@ def test_consumers_do_not_use_jet1(name):
     defined = {node.name for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert not defined & {"_jet_parts", "_jet1_arrays"}
+
+
+def test_jet_rules_have_one_copy():
+    # the kernels trace dual.py's rules; expr.py keeps no rules of its own
+    tree = ast.parse((SRC / "expr.py").read_text())
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not [name for name in defined if name.startswith("_k_")]
+    assigned = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)}
+    assert not (defined | assigned) & {"_K_UNARY", "_np"}

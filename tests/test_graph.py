@@ -376,6 +376,22 @@ class TestGlue:
         with pytest.raises(CharacteristicError):
             glue_check(patch, patch, iface, weak=False)
 
+    @pytest.mark.parametrize("tau_range", [
+        ["abc", 2.0], [0.5], [0.5, 1.0, 2.0], [0.5, math.inf],
+        [math.nan, 2.0], [True, 2.0], [10**400, 2.0], "0.5, 2.0", None,
+    ])
+    def test_bad_tau_range_is_named(self, tau_range):
+        with pytest.raises(ValueError, match=r"interface\.tau_range"):
+            InterfaceCurve.from_config(
+                {"x": "tau", "y": "0", "tau_range": tau_range})
+
+    @pytest.mark.parametrize("flip", ["false", "true", 0, 1, None])
+    def test_non_boolean_flip_normal_is_named(self, flip):
+        with pytest.raises(ValueError, match=r"interface\.flip_normal"):
+            InterfaceCurve.from_config(
+                {"x": "tau", "y": "0", "tau_range": [0.0, 1.0],
+                 "flip_normal": flip})
+
     def test_degenerate_interface_rejected(self):
         iface = InterfaceCurve.from_config(
             {"x": "1", "y": "0", "tau_range": [0.0, 1.0]})
